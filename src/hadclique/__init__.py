@@ -37,7 +37,6 @@ from .graph import (
     VertexCode,
     adjacency,
     adjacency_profile,
-    alpha_ladder,
     class_size,
     clique_from_codes,
     coincidence_range,
@@ -47,7 +46,6 @@ from .graph import (
     degree,
     distinct_orderings,
     edge_count,
-    encode,
     full_mask,
     generator_set,
     join_quarters,
@@ -72,7 +70,7 @@ from .oracle import (
     vertex_codes,
 )
 from .exact import ExactSearchConfig, extend_exact, run_exact
-from .fast import FastConfig, QuarterConstraint, buildgrapas, completions, feasible_targets, run_fast
+from .fast import FastConfig, buildgrapas, completions, feasible_targets, run_fast
 from .files import (
     format_clique_text,
     format_report,

@@ -18,7 +18,7 @@ from random import Random
 
 from . import exact, fast, ga, graph, seeds
 from .errors import HadcliqueError, NoDecomposition
-from .files import format_clique_text, read_clique, write_clique, write_report
+from .files import format_clique_text, parse_clique_text, read_clique, write_clique, write_report
 from .graph import Clique
 from .oracle import verify_clique, verify_ph
 from .report import SearchReport
@@ -182,13 +182,30 @@ def cmd_search(args: argparse.Namespace) -> int:
     return EX_OK if len(rep.best) > 0 else EX_EMPTY
 
 
+def _is_sign_matrix(text: str) -> bool:
+    """True when text is laid out as a sign matrix rather than a clique file.
+
+    Blank lines and lines starting with '#' are dropped; every other line,
+    with spaces and tabs removed, must be over '+-01', and all must have
+    the same length. A lone line of 0/1 digits reads either way; it is
+    taken as a clique file holding only t, such as "10" for the empty
+    clique of G_10, so a one-row sign matrix must be written in '+'/'-'.
+    """
+    rows = [
+        line.replace(" ", "").replace("\t", "")
+        for line in text.splitlines()
+        if line.strip() and not line.lstrip().startswith("#")
+    ]
+    if len(rows) == 1 and set(rows[0]) <= set("01"):
+        return False
+    return bool(rows) and all(set(r) <= set("+-01") and len(r) == len(rows[0]) for r in rows)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     text = args.path.read_text()
-    if "+" in text or "-" in text:
+    if _is_sign_matrix(text):
         rep = verify_ph(ingest_sign_matrix(text))
     else:
-        from .files import parse_clique_text
-
         rep = verify_clique(parse_clique_text(text))
     print(rep.message)
     return EX_OK if rep.ok else EX_VERIFY
@@ -228,7 +245,11 @@ def cmd_extend(args: argparse.Namespace) -> int:
     if args.algorithm == "exact":
         grown = exact.extend_exact(c, Random(seed))
     else:
-        grown = fast.run_fast(c, fast.FastConfig(t=c.t, rng_seed=seed))
+        try:
+            cfg = fast.FastConfig(t=c.t, rng_seed=seed)
+        except ValueError as exc:
+            raise _Usage(str(exc)) from None
+        grown = fast.run_fast(c, cfg)
     if len(grown) == len(c):
         print("warning: no extension found", file=sys.stderr)
     else:

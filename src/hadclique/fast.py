@@ -4,12 +4,12 @@ Instead of materializing neighbor sets, this search builds one candidate
 vector at a time, quarter by quarter in random order. For every clique
 member a per-quarter coincidence target is sampled from the values that
 still admit a completion of the remaining quarters to the orthogonality
-total 2t; a small generational search steers toward those targets and
-commits the best pattern that keeps every member completable. When no
-such pattern exists the previously built quarter is dropped and
-re-targeted. Candidate vectors are
-drawn from the two heaviest balanced classes, k = floor(t/2) and
-floor(t/2) - 1, which carry almost all of the graph.
+total 2t. Every mask of the quarter's weight is scored at once, and one
+closest to those targets is committed among the masks that keep every
+member completable. When no such mask exists the previously built quarter
+is dropped and re-targeted. Candidate vectors are drawn from the two
+heaviest balanced classes, k = floor(t/2) and floor(t/2) - 1, which carry
+almost all of the graph.
 """
 
 from __future__ import annotations
@@ -18,9 +18,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import combinations
 from random import Random
 
-from .errors import InvalidSeed
+import numpy as np
+
+from .errors import HadcliqueError, InvalidSeed
 from .graph import (
     Clique,
     VertexCode,
@@ -36,13 +39,19 @@ from .report import EssayResult, SearchReport, utc_stamp
 
 __all__ = [
     "FastConfig",
-    "QuarterConstraint",
     "completions",
     "feasible_targets",
     "buildgrapas",
     "run_fast",
     "run_many",
 ]
+
+
+# _inner_search scores every mask of a quarter's weight against every
+# member at once. At t = 16 that is C(16, 8) = 12870 masks by at most
+# 4t - 3 = 61 members, and C(t, t/2) about doubles with each further t.
+# 16 is also the 4t <= 64 limit of the uint64 vertex codes elsewhere.
+MAX_T = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,28 +61,18 @@ class FastConfig:
     t: int
     rng_seed: int = 0
     attempts_per_vector: int = 10
-    inner_population: int | None = None
-    inner_generations: int | None = None
     quarter_backtracks: int | None = None
     stall_limit: int | None = None
 
     def __post_init__(self) -> None:
-        if self.t < 1:
-            raise ValueError(f"t must be positive, got {self.t}")
+        if not 1 <= self.t <= MAX_T:
+            raise ValueError(f"t must be in 1..{MAX_T}, got {self.t}")
         if self.attempts_per_vector < 1:
             raise ValueError("attempts_per_vector must be positive")
-        for name in ("inner_population", "inner_generations", "quarter_backtracks", "stall_limit"):
+        for name in ("quarter_backtracks", "stall_limit"):
             val = getattr(self, name)
             if val is not None and val < 1:
                 raise ValueError(f"{name} must be positive when given")
-
-    @property
-    def population(self) -> int:
-        return self.inner_population if self.inner_population is not None else 4 * self.t
-
-    @property
-    def generations(self) -> int:
-        return self.inner_generations if self.inner_generations is not None else 4 * self.t
 
     @property
     def backtracks(self) -> int:
@@ -82,20 +81,6 @@ class FastConfig:
     @property
     def stalls(self) -> int:
         return self.stall_limit if self.stall_limit is not None else self.t
-
-
-@dataclass(frozen=True, slots=True)
-class QuarterConstraint:
-    """One member's playable coincidence targets for the quarter at hand.
-
-    weights[i] counts the ordered completions of the remaining quarters
-    should feasible[i] be committed now; targets are sampled proportionally.
-    """
-
-    member: int
-    ladder: tuple[int, ...]
-    feasible: tuple[int, ...]
-    weights: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -134,25 +119,15 @@ def feasible_targets(
     return tuple(values), tuple(weights)
 
 
-def _random_mask(t: int, weight: int, rng: Random) -> int:
-    mask = 0
-    for b in rng.sample(range(t), weight):
-        mask |= 1 << b
-    return mask
-
-
-def _rebalance(mask: int, t: int, weight: int, rng: Random) -> int:
-    ones = [b for b in range(t) if mask >> b & 1]
-    zeros = [b for b in range(t) if not mask >> b & 1]
-    rng.shuffle(ones)
-    rng.shuffle(zeros)
-    while len(ones) > weight:
-        mask &= ~(1 << ones.pop())
-    while len(ones) < weight:
-        b = zeros.pop()
-        mask |= 1 << b
-        ones.append(b)
-    return mask
+@lru_cache(maxsize=None)
+def _masks(t: int, weight: int) -> np.ndarray:
+    """Every t-bit mask with the given number of one-bits, ascending; read-only."""
+    masks = np.array(
+        sorted(sum(1 << b for b in bits) for bits in combinations(range(t), weight)),
+        dtype=np.uint64,
+    )
+    masks.flags.writeable = False
+    return masks
 
 
 def _inner_search(
@@ -160,86 +135,31 @@ def _inner_search(
     weight: int,
     member_quarters: list[int],
     targets: list[int],
-    ladders: list[range],
-    committed: list[int],
-    remaining_after: int,
-    population: int,
-    generations: int,
+    feasible: list[tuple[int, ...]],
     rng: Random,
 ) -> int | None:
-    """Find a t-bit mask of the given weight for the current quarter.
+    """Pick a t-bit mask of the given weight for the current quarter.
 
     Coincidence of the mask with member quarter u is t - popcount(mask ^ u).
-    The search steers toward the sampled targets (fitness is minus the
-    total target miss) but a commit only requires validity: after booking
-    the mask's coincidences, every member's remaining quarters must still
-    be able to reach the orthogonality total 2t. A mask hitting all targets
-    exactly returns immediately; otherwise the best valid mask seen over
-    the whole run is returned, or None when no valid mask surfaced. Plain
-    generational scheme: single elite, 2-tournament parents, single-point
-    crossover rebalanced back to the required weight, swap mutation.
+    Every mask of the weight is scored at once. A mask is valid when each
+    member's coincidence lies in its feasible values, the ones after which
+    the member's remaining quarters can still reach the orthogonality
+    total 2t. Among the valid masks with the least total miss against the
+    sampled targets, one is drawn uniformly. Returns None exactly when no
+    mask is valid.
     """
-
-    def coincidences(mask: int) -> list[int]:
-        return [t - ((mask ^ uq).bit_count()) for uq in member_quarters]
-
-    def fitness(cs: list[int]) -> int:
-        return -sum(abs(c - tgt) for c, tgt in zip(cs, targets))
-
-    def valid(cs: list[int]) -> bool:
-        return all(
-            completions(lad, remaining_after, 2 * t - com - c) > 0
-            for lad, com, c in zip(ladders, committed, cs)
-        )
-
-    best_valid: int | None = None
-    best_valid_fit = None
-    pop = [_random_mask(t, weight, rng) for _ in range(population)]
-    for _ in range(generations + 1):
-        scored = []
-        for m in pop:
-            cs = coincidences(m)
-            f = fitness(cs)
-            if f == 0 and valid(cs):
-                return m
-            scored.append((f, m))
-            if (best_valid_fit is None or f > best_valid_fit) and valid(cs):
-                best_valid, best_valid_fit = m, f
-        scored.sort(reverse=True)
-        elite = scored[0][1]
-        nxt = [elite]
-        while len(nxt) < population:
-            pa = max(rng.choice(scored), rng.choice(scored))[1]
-            pb = max(rng.choice(scored), rng.choice(scored))[1]
-            cut = rng.randrange(t + 1)
-            low = (1 << cut) - 1
-            child = (pa & ~low) | (pb & low)
-            child = _rebalance(child, t, weight, rng)
-            if rng.random() < 0.5 and 0 < weight < t:
-                ones = [b for b in range(t) if child >> b & 1]
-                zeros = [b for b in range(t) if not child >> b & 1]
-                child = (child ^ (1 << rng.choice(ones))) | (1 << rng.choice(zeros))
-            nxt.append(child)
-        pop = nxt
-    return best_valid
-
-
-def _constraints(
-    codes: list[int],
-    ladders: list[range],
-    committed: list[int],
-    t: int,
-    remaining_after: int,
-) -> list[QuarterConstraint] | None:
-    out: list[QuarterConstraint] = []
-    for code, ladder, com in zip(codes, ladders, committed):
-        values, weights = feasible_targets(ladder, com, remaining_after, 2 * t)
-        if not values:
-            return None
-        out.append(
-            QuarterConstraint(member=code, ladder=tuple(ladder), feasible=values, weights=weights)
-        )
-    return out
+    masks = _masks(t, weight)
+    members = np.array(member_quarters, dtype=np.uint64)
+    coinc = t - np.bitwise_count(masks[:, None] ^ members[None, :]).astype(np.int64)
+    allowed = np.zeros((len(feasible), t + 1), dtype=bool)
+    for j, values in enumerate(feasible):
+        allowed[j, list(values)] = True
+    (valid,) = np.nonzero(allowed[np.arange(len(feasible)), coinc].all(axis=1))
+    if valid.size == 0:
+        return None
+    miss = np.abs(coinc[valid] - np.array(targets, dtype=np.int64)).sum(axis=1)
+    best = valid[miss == miss.min()]
+    return int(masks[best[rng.randrange(best.size)]])
 
 
 def buildgrapas(c: Clique, k: int, cfg: FastConfig, rng: Random) -> VertexCode | None:
@@ -248,14 +168,13 @@ def buildgrapas(c: Clique, k: int, cfg: FastConfig, rng: Random) -> VertexCode |
     The candidate uses s = k ones in its outer quarters. Quarters are built
     in random order; each member's coincidence target for the current
     quarter is sampled from its still-completable ladder values weighted by
-    ordered-completion counts, and the inner generational search aims for
-    the targets while any committed quarter must leave every member
-    completable to the total 2t (which on the last quarter forces exact
-    closure, hence orthogonality). When no valid quarter is found the
-    previous quarter is deleted and rebuilt, at most cfg.backtracks times
-    per attempt, with cfg.attempts_per_vector attempts overall. Returns
-    None when every attempt fails; a returned vertex is always orthogonal
-    to every member.
+    ordered-completion counts, and the inner search takes a target-closest
+    mask among those that leave every member completable to the total 2t
+    (which on the last quarter forces exact closure, hence orthogonality).
+    When no such mask exists the previous quarter is deleted and rebuilt,
+    at most cfg.backtracks times per attempt, with cfg.attempts_per_vector
+    attempts overall. Returns None when every attempt fails; a returned
+    vertex is always orthogonal to every member.
     """
     t = cfg.t
     if not 0 <= k <= t // 2:
@@ -280,20 +199,19 @@ def buildgrapas(c: Clique, k: int, cfg: FastConfig, rng: Random) -> VertexCode |
             committed = [
                 sum(t - (built[b] ^ qs[b]).bit_count() for b in built) for qs in quarters
             ]
-            cons = _constraints(codes, ladders, committed, t, remaining_after=3 - pos)
+            playable = [
+                feasible_targets(ladder, com, 3 - pos, 2 * t)
+                for ladder, com in zip(ladders, committed)
+            ]
             mask = None
-            if cons is not None:
-                targets = [rng.choices(qc.feasible, qc.weights)[0] for qc in cons]
+            if all(values for values, _ in playable):
+                targets = [rng.choices(values, weights)[0] for values, weights in playable]
                 mask = _inner_search(
                     t,
                     cand_weights[q],
                     [qs[q] for qs in quarters],
                     targets,
-                    ladders,
-                    committed,
-                    3 - pos,
-                    cfg.population,
-                    cfg.generations,
+                    [values for values, _ in playable],
                     rng,
                 )
             if mask is None:
@@ -308,9 +226,9 @@ def buildgrapas(c: Clique, k: int, cfg: FastConfig, rng: Random) -> VertexCode |
             pos += 1
         if pos == 4:
             code = join_quarters((built[0], built[1], built[2], built[3]), t)
-            v = decode(code, t)
-            assert all(orthogonal_codes(code, m, t) for m in codes)
-            return v
+            if not all(orthogonal_codes(code, m, t) for m in codes):
+                raise HadcliqueError(f"constructed code {code} is not orthogonal to every member")
+            return decode(code, t)
     return None
 
 
@@ -380,8 +298,6 @@ def run_many(
             ("rng_seed", cfg.rng_seed),
             ("essays", essays),
             ("attempts_per_vector", cfg.attempts_per_vector),
-            ("inner_population", cfg.population),
-            ("inner_generations", cfg.generations),
             ("quarter_backtracks", cfg.backtracks),
             ("stall_limit", cfg.stalls),
             ("seed_size", len(seed)),

@@ -52,7 +52,6 @@ __all__ = [
     "GeneratorSet",
     "AdjacencyProfile",
     "decode",
-    "encode",
     "clique_from_codes",
     "orthogonal",
     "orthogonal_codes",
@@ -63,7 +62,6 @@ __all__ = [
     "vertex_count",
     "class_size",
     "s_range",
-    "alpha_ladder",
     "coincidence_range",
     "solve_distributions",
     "distinct_orderings",
@@ -186,11 +184,6 @@ def decode(code: int, t: int) -> VertexCode:
     return VertexCode(t=t, code=code, k=c1)
 
 
-def encode(v: VertexCode) -> int:
-    """Inverse of decode."""
-    return v.code
-
-
 def clique_from_codes(t: int, codes: Sequence[int]) -> Clique:
     """Decode a list of integer codes into a Clique (no orthogonality check)."""
     return Clique(t=t, members=tuple(decode(c, t) for c in codes))
@@ -246,21 +239,13 @@ def coincidence_range(t: int, a: int, b: int) -> range:
 
     The count is t minus the Hamming distance; the distance has the parity
     of a - b and runs from |a - b| to min(a + b, 2t - a - b), so the result
-    steps by 2.
+    steps by 2. With a = k and b = s it is the per-quarter ladder between a
+    k-vertex and an s-vector: quarters weigh (k, t-k, t-k, k) against
+    (s, t-s, t-s, s), and all four quarters admit the same ladder.
     """
     lo = t - min(a + b, 2 * t - a - b)
     hi = t - abs(a - b)
     return range(lo, hi + 1, 2)
-
-
-def alpha_ladder(t: int, k: int, s: int) -> range:
-    """Per-quarter total coincidences between a k-vertex and an s-vector.
-
-    The i-th rung is t-s-k+2i, i counting shared 1s in quarters 1 and 4
-    and shared 0s in quarters 2 and 3; all four quarters admit the same
-    ladder.  For k, s <= t//2 this is [t-k-s, t-|k-s|] step 2.
-    """
-    return coincidence_range(t, k, s)
 
 
 # --- diophantine distributions ---------------------------------------------
@@ -276,7 +261,7 @@ def solve_distributions(t: int, k: int, s: int) -> tuple[CoincidenceTuple, ...]:
     t=5, k=2, s=1 whose only tuple (2,2,2,4) contains alpha_0 = 2) and is
     corrected to alpha_0 here.
     """
-    ladder = alpha_ladder(t, k, s)
+    ladder = coincidence_range(t, k, s)
     lo, hi = ladder.start, ladder[-1] if len(ladder) else ladder.start
     if len(ladder) == 0:
         return ()

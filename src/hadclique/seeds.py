@@ -25,7 +25,7 @@ from .errors import (
     RaggedRows,
 )
 from .graph import Clique, decode
-from .oracle import SignMatrix
+from .oracle import SignMatrix, _canonical_rows
 
 __all__ = [
     "NormalizedMatrix",
@@ -35,13 +35,6 @@ __all__ = [
     "format_sign_matrix",
     "paley_seed",
 ]
-
-
-def _canonical(t: int) -> np.ndarray:
-    row1 = np.ones(4 * t, dtype=np.int64)
-    row2 = np.concatenate([np.ones(2 * t, dtype=np.int64), -np.ones(2 * t, dtype=np.int64)])
-    q = np.concatenate([np.ones(t, dtype=np.int64), -np.ones(t, dtype=np.int64)])
-    return np.stack([row1, row2, np.concatenate([q, q])])
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,7 +48,7 @@ class NormalizedMatrix:
         if m < 3 or n < 4 or n % 4:
             raise BadShape(f"normalized matrix needs >= 3 rows and 4t columns, got {m} x {n}")
         arr = self.matrix.to_array()
-        if (arr[:3] != _canonical(n // 4)).any():
+        if (arr[:3] != _canonical_rows(n // 4)).any():
             raise BadShape("first three rows are not the canonical triple")
 
     @property

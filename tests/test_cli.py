@@ -1,11 +1,39 @@
 import os
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from hadclique import read_clique, read_report, verify_clique
-from hadclique.cli import EX_EMPTY, EX_OK, EX_USAGE, EX_VERIFY, main
+from hadclique import (
+    Clique,
+    clique_from_codes,
+    clique_to_matrix,
+    format_clique_text,
+    format_sign_matrix,
+    ingest_sign_matrix,
+    parse_clique_text,
+    read_clique,
+    read_report,
+    verify_clique,
+    verify_ph,
+)
+from hadclique.cli import EX_EMPTY, EX_OK, EX_USAGE, EX_VERIFY, _is_sign_matrix, main
 
 from published import GREEDY_CLIQUES
+
+TO_ONES_ZEROS = str.maketrans("+-", "10")
+
+# a subset of a published clique, members in drawn order, or an empty
+# clique at any t; "1", "10", "100" and the like are also 0/1 sign rows
+published_cliques = st.one_of(
+    st.sampled_from(sorted(GREEDY_CLIQUES)).flatmap(
+        lambda t: st.lists(st.sampled_from(GREEDY_CLIQUES[t]), unique=True).map(
+            lambda codes: clique_from_codes(t, codes)
+        )
+    ),
+    st.sampled_from([1, 10, 11, 100, 101]).map(lambda t: Clique(t=t, members=())),
+)
+comments = st.sampled_from(["", "# greedy run - t=2\n", "\n# 0 1 + -\n\n"])
 
 
 @pytest.fixture(autouse=True)
@@ -39,6 +67,11 @@ def test_usage_errors_exit_64(capsys):
     assert main(["search", "nonesuch", "--t", "2"]) == EX_USAGE
     assert main(["nonesuch"]) == EX_USAGE
     assert main(["search", "ga", "--t", "2", "--pb", "0.1"]) == EX_USAGE
+    assert main(["search", "fast", "--t", "17"]) == EX_USAGE
+    with open("big.clq", "w") as fh:
+        fh.write("17\n")
+    assert main(["extend", "big.clq", "--algorithm", "fast"]) == EX_USAGE
+    assert "t must be in 1..16, got 17" in capsys.readouterr().err
 
 
 def test_search_exact_writes_report(tmp_path, capsys):
@@ -114,6 +147,18 @@ def test_verify_clique_file(tmp_path, capsys):
     bad = tmp_path / "bad.clq"
     bad.write_text("2\n166 166\n")
     assert main(["verify", str(bad)]) == EX_VERIFY
+    bad.write_text("2\n166 101 89\n")
+    assert main(["verify", str(bad)]) == EX_VERIFY
+
+
+def test_verify_clique_file_with_sign_characters_in_a_comment(tmp_path, capsys):
+    good = tmp_path / "good.clq"
+    good.write_text("# greedy run - t=2\n2\n166 101 106 169 60\n")
+    assert main(["verify", str(good)]) == EX_OK
+    assert "clique of size 5" in capsys.readouterr().out
+    good.write_text("10\n")
+    assert main(["verify", str(good)]) == EX_OK
+    assert "clique of size 0 in G_10" in capsys.readouterr().out
 
 
 def test_verify_sniffs_matrix_content(tmp_path, capsys):
@@ -122,6 +167,38 @@ def test_verify_sniffs_matrix_content(tmp_path, capsys):
     assert main(["verify", str(m)]) == EX_OK
     m.write_text("+ + + +\n+ + - -\n+ - + -\n+ - - -\n")
     assert main(["verify", str(m)]) == EX_VERIFY
+
+
+def test_verify_ones_zeros_sign_matrix(tmp_path, capsys):
+    m = tmp_path / "mat.txt"
+    text = format_sign_matrix(clique_to_matrix(clique_from_codes(2, GREEDY_CLIQUES[2])))
+    m.write_text(text.translate(TO_ONES_ZEROS))
+    assert main(["verify", str(m)]) == EX_OK
+    assert "8 x 8 partial Hadamard matrix" in capsys.readouterr().out
+    m.write_text("1111\n1100\n1010\n1000\n")
+    assert main(["verify", str(m)]) == EX_VERIFY
+
+
+@given(published_cliques, comments)
+@settings(max_examples=60)
+def test_clique_text_roundtrip_sniffs_as_clique(c, comment):
+    text = comment + format_clique_text(c)
+    assert not _is_sign_matrix(text)
+    assert parse_clique_text(text) == c
+
+
+@given(published_cliques, comments, st.booleans())
+@settings(max_examples=60)
+def test_sign_matrix_text_roundtrip_sniffs_as_matrix(c, comment, ones_zeros):
+    M = clique_to_matrix(c)
+    text = format_sign_matrix(M)
+    if ones_zeros:
+        text = text.translate(TO_ONES_ZEROS)
+    text = comment + text
+    assert _is_sign_matrix(text)
+    back = ingest_sign_matrix(text)
+    assert back == M
+    assert verify_ph(back)
 
 
 def test_verify_missing_file(capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hadclique import (
     Clique,
     FastConfig,
+    HadcliqueError,
     InvalidSeed,
     buildgrapas,
     brute_adjacency_codes,
@@ -21,16 +22,14 @@ from hadclique import (
     run_fast_many,
     verify_clique,
 )
+from hadclique.fast import MAX_T, _inner_search
 
 
 def test_config_defaults_scale_with_t():
     cfg = FastConfig(t=5)
-    assert cfg.population == 20
-    assert cfg.generations == 20
     assert cfg.backtracks == 5
     assert cfg.stalls == 5
-    tuned = FastConfig(t=5, inner_population=7, stall_limit=2)
-    assert tuned.population == 7
+    tuned = FastConfig(t=5, stall_limit=2)
     assert tuned.stalls == 2
 
 
@@ -40,7 +39,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FastConfig(t=3, attempts_per_vector=0)
     with pytest.raises(ValueError):
-        FastConfig(t=3, inner_generations=0)
+        FastConfig(t=3, stall_limit=0)
+    with pytest.raises(ValueError):
+        FastConfig(t=MAX_T + 1)
 
 
 def brute_completions(ladder, r, need):
@@ -82,6 +83,57 @@ def test_feasible_targets_can_be_empty():
     assert weights == ()
 
 
+@given(st.data())
+@settings(max_examples=150)
+def test_inner_search_matches_brute_force(data):
+    # every t-bit mask of the weight is checked by the completion rule itself:
+    # None exactly when no mask keeps every member completable, otherwise a
+    # valid mask with the least total miss against the targets
+    t = data.draw(st.integers(min_value=1, max_value=4))
+    weight = data.draw(st.integers(min_value=0, max_value=t))
+    remaining_after = data.draw(st.integers(min_value=0, max_value=3))
+    quarters, ladders, committed, feasible, targets = [], [], [], [], []
+    for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
+        u = data.draw(st.integers(min_value=0, max_value=2**t - 1))
+        ladder = coincidence_range(t, u.bit_count(), weight)
+        com = data.draw(st.integers(min_value=0, max_value=3 * t))
+        quarters.append(u)
+        ladders.append(ladder)
+        committed.append(com)
+        feasible.append(feasible_targets(ladder, com, remaining_after, 2 * t)[0])
+        targets.append(data.draw(st.integers(min_value=0, max_value=t)))
+
+    def coincidences(m):
+        return [t - (m ^ u).bit_count() for u in quarters]
+
+    def miss(m):
+        return sum(abs(c - tgt) for c, tgt in zip(coincidences(m), targets))
+
+    valid = [
+        m
+        for m in range(2**t)
+        if m.bit_count() == weight
+        and all(
+            completions(lad, remaining_after, 2 * t - com - c) > 0
+            for lad, com, c in zip(ladders, committed, coincidences(m))
+        )
+    ]
+    got = _inner_search(t, weight, quarters, targets, feasible, Random(data.draw(st.integers(0, 99))))
+    if not valid:
+        assert got is None
+    else:
+        assert got in valid
+        assert miss(got) == min(miss(m) for m in valid)
+
+
+def test_inner_search_draws_uniformly_among_the_closest():
+    # no members: all C(4,2) = 6 masks tie, and each is drawn
+    picks = [_inner_search(4, 2, [], [], [], Random(i)) for i in range(600)]
+    masks = [m for m in range(16) if m.bit_count() == 2]
+    assert sorted(set(picks)) == masks
+    assert all(60 <= picks.count(m) <= 140 for m in masks)
+
+
 def test_buildgrapas_on_empty_clique_always_succeeds():
     cfg = FastConfig(t=5, rng_seed=0)
     rng = Random(0)
@@ -89,6 +141,17 @@ def test_buildgrapas_on_empty_clique_always_succeeds():
         v = buildgrapas(Clique(t=5, members=()), 2, cfg, rng)
         assert v is not None
         assert decode(v.code, 5).k == 2
+
+
+def test_buildgrapas_grows_a_clique_at_the_largest_t():
+    cfg = FastConfig(t=MAX_T, rng_seed=0)
+    rng = Random(0)
+    members: list = []
+    for _ in range(4):
+        v = buildgrapas(Clique(t=MAX_T, members=tuple(members)), MAX_T // 2, cfg, rng)
+        assert v is not None
+        members.append(v)
+    assert verify_clique(Clique(t=MAX_T, members=tuple(members)))
 
 
 def test_buildgrapas_output_is_a_neighbor():
@@ -120,6 +183,14 @@ def test_buildgrapas_fails_on_maximal_clique():
     cfg = FastConfig(t=3, rng_seed=0, attempts_per_vector=3)
     for k in (0, 1):
         assert buildgrapas(c, k, cfg, Random(0)) is None
+
+
+def test_buildgrapas_raises_on_a_non_orthogonal_construction(monkeypatch):
+    # the final guard must survive python -O, so it cannot be an assert
+    monkeypatch.setattr("hadclique.fast.orthogonal_codes", lambda a, b, t: False)
+    c = Clique(t=5, members=(decode(684646, 5),))
+    with pytest.raises(HadcliqueError):
+        buildgrapas(c, 2, FastConfig(t=5, rng_seed=0), Random(0))
 
 
 def test_run_fast_requires_matching_seed():

@@ -13,7 +13,6 @@ from hadclique import (
     WeightError,
     adjacency,
     adjacency_profile,
-    alpha_ladder,
     class_size,
     clique_from_codes,
     coincidence_range,
@@ -23,7 +22,6 @@ from hadclique import (
     degree,
     distinct_orderings,
     edge_count,
-    encode,
     full_mask,
     generator_set,
     join_quarters,
@@ -76,7 +74,7 @@ def vertex_codes(draw, max_t=6):
 @given(vertex_codes())
 @settings(max_examples=100)
 def test_encode_decode_roundtrip(v):
-    assert decode(encode(v), v.t) == v
+    assert decode(v.code, v.t) == v
     q = quarters_of(v.code, v.t)
     assert bin(q[0]).count("1") == v.k
     assert bin(q[3]).count("1") == v.k
@@ -177,7 +175,7 @@ def test_degree_is_sum_over_s():
 
 
 def test_alpha_ladder_worked_example():
-    assert list(alpha_ladder(5, 2, 2)) == [1, 3, 5]
+    assert list(coincidence_range(5, 2, 2)) == [1, 3, 5]
 
 
 @given(
@@ -221,7 +219,7 @@ def test_solve_distributions_worked_example():
 
 
 def brute_distributions(t, k, s):
-    ladder = list(alpha_ladder(t, k, s))
+    ladder = list(coincidence_range(t, k, s))
     seen = set()
     for combo in product(ladder, repeat=4):
         if sum(combo) == 2 * t:
@@ -246,7 +244,7 @@ def test_solvability_criterion():
     for t in range(1, 10):
         for k in range(t // 2 + 1):
             for s in range(t + 1):
-                ladder = alpha_ladder(t, k, s)
+                ladder = coincidence_range(t, k, s)
                 lo, hi = ladder[0], ladder[-1]
                 solvable = 4 * lo <= 2 * t <= 4 * hi
                 assert bool(solve_distributions(t, k, s)) == solvable
