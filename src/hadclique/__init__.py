@@ -13,14 +13,10 @@ from .errors import (
     BadShape,
     BothEmpty,
     CandidateOverflow,
-    DecodeFailure,
     HadcliqueError,
-    InfeasibleQuarter,
     InvalidClique,
     InvalidSeed,
-    IsolatedVertex,
     KOutOfRange,
-    MismatchedT,
     NoDecomposition,
     NotOrthogonal,
     PatternError,
@@ -30,10 +26,7 @@ from .errors import (
     WeightError,
 )
 from .graph import (
-    AdjacencyProfile,
     Clique,
-    CoincidenceTuple,
-    GeneratorSet,
     VertexCode,
     adjacency,
     adjacency_profile,
@@ -59,9 +52,7 @@ from .graph import (
     vertex_count,
 )
 from .oracle import (
-    Report,
     SignMatrix,
-    brute_adjacency,
     brute_adjacency_codes,
     clique_to_matrix,
     enumerate_vertices,
@@ -86,7 +77,6 @@ from .ga import Chromosome, GaConfig, crossover, mutate, repair, run_ga
 from .ga import run_many as run_ga_many
 from .report import EssayResult, SearchReport, utc_stamp
 from .seeds import (
-    NormalizedMatrix,
     format_sign_matrix,
     ingest_sign_matrix,
     matrix_to_clique,

@@ -56,7 +56,7 @@ class InvalidClique(HadcliqueError):
 # --- searches ---
 
 class CandidateOverflow(HadcliqueError):
-    """The materialized candidate set would exceed the configured cap."""
+    """The start class's degree exceeds the configured candidate cap."""
 
 
 class BothEmpty(HadcliqueError):

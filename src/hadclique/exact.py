@@ -1,9 +1,11 @@
 """Random greedy clique search with exact candidate filtering.
 
-Each essay starts from a random vertex, materializes its full neighbor set
-once, then repeatedly picks a uniform candidate and intersects the pool with
-that candidate's neighborhood via a vectorized popcount. The returned clique
-is maximal by construction: the essay only stops when the pool is empty.
+Each essay starts from a random vertex and holds the common neighborhood of
+its clique as a graph.NeighborPool: the neighbors of the start vertex,
+refined by each pick. A pick is a uniform rank in the pool, the same rank
+into the same ascending set as in a materialized, sorted neighbor array, so
+nothing of size degree(t, k) is ever built. The returned clique is maximal
+by construction: the essay only stops when the pool is empty.
 """
 
 from __future__ import annotations
@@ -13,10 +15,16 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from random import Random
 
-import numpy as np
-
 from .errors import CandidateOverflow, InvalidClique
-from .graph import Clique, VertexCode, adjacency, clique_from_codes, degree, random_vertex
+from .graph import (
+    Clique,
+    NeighborPool,
+    VertexCode,
+    clique_from_codes,
+    degree,
+    random_vertex,
+    vertex_pool,
+)
 from .oracle import verify_clique
 from .report import EssayResult, SearchReport, utc_stamp
 
@@ -54,8 +62,18 @@ def _random_start(t: int, rng: Random) -> VertexCode:
     return random_vertex(t, rng, k=rng.choice(ks))
 
 
-def _filter_pool(pool: np.ndarray, code: int, t: int) -> np.ndarray:
-    return pool[np.bitwise_count(pool ^ np.uint64(code)) == 2 * t]
+def adjacency(v: VertexCode) -> NeighborPool:
+    """The pool-construction layer: every neighbor of v, as a pool.
+
+    It holds the set graph.adjacency(v) materializes, in the same ascending
+    order, from the C(2t, t) halves of each side.
+    """
+    return vertex_pool(v.t).refine(v.code)
+
+
+def _filter_pool(pool: NeighborPool, code: int) -> NeighborPool:
+    """The intersection layer: the candidates also orthogonal to code."""
+    return pool.refine(code)
 
 
 def _greedy_essay(cfg: ExactSearchConfig, index: int) -> EssayResult:
@@ -73,9 +91,9 @@ def _greedy_essay(cfg: ExactSearchConfig, index: int) -> EssayResult:
         )
     pool = adjacency(start)
     while pool.size:
-        pick = int(pool[rng.randrange(pool.size)])
+        pick = pool.code_at(rng.randrange(pool.size))
         members.append(pick)
-        pool = _filter_pool(pool, pick, t)
+        pool = _filter_pool(pool, pick)
     return EssayResult(
         index=index,
         clique=clique_from_codes(t, members),
@@ -87,10 +105,11 @@ def run_exact(cfg: ExactSearchConfig, jobs: int = 1, time_limit: float | None = 
     """Run cfg.essays independent greedy essays and collect the results.
 
     Essay i draws all randomness from Random(rng_seed + i), so results are
-    reproducible and independent of jobs. A start vertex whose neighbor set
-    would exceed candidate_cap aborts that essay with overflow=True rather
-    than raising. time_limit is checked between essays: once exceeded, the
-    remaining essays are skipped.
+    reproducible and independent of jobs. A start vertex whose class degree
+    exceeds candidate_cap aborts that essay with overflow=True rather than
+    raising; the cap bounds the degree, not memory, since the pool never
+    holds the neighbors themselves. time_limit is checked between essays:
+    once exceeded, the remaining essays are skipped.
     """
     started = utc_stamp()
     clock = time.perf_counter()
@@ -128,9 +147,10 @@ def extend_exact(c: Clique, rng: Random, candidate_cap: int = DEFAULT_CANDIDATE_
     """Greedily extend c to a maximal clique containing it.
 
     An empty c starts a fresh essay from a random vertex. The input members
-    are validated first and an invalid clique is rejected; if the first
-    member's class is larger than candidate_cap the pool cannot be
-    materialized and CandidateOverflow is raised.
+    are validated first and an invalid clique is rejected; if the degree of
+    the first member's class exceeds candidate_cap, CandidateOverflow is
+    raised. The cap bounds that degree, not memory: the pool is held as
+    halves and never materialized.
     """
     rep = verify_clique(c)
     if not rep:
@@ -148,9 +168,9 @@ def extend_exact(c: Clique, rng: Random, candidate_cap: int = DEFAULT_CANDIDATE_
         )
     pool = adjacency(anchor)
     for code in members[1:]:
-        pool = _filter_pool(pool, code, t)
+        pool = _filter_pool(pool, code)
     while pool.size:
-        pick = int(pool[rng.randrange(pool.size)])
+        pick = pool.code_at(rng.randrange(pool.size))
         members.append(pick)
-        pool = _filter_pool(pool, pick, t)
+        pool = _filter_pool(pool, pick)
     return clique_from_codes(t, members)

@@ -18,7 +18,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import combinations
 from random import Random
 
 import numpy as np
@@ -33,6 +32,7 @@ from .graph import (
     join_quarters,
     orthogonal_codes,
     quarters_of,
+    weight_masks,
 )
 from .oracle import verify_clique
 from .report import EssayResult, SearchReport, utc_stamp
@@ -119,17 +119,6 @@ def feasible_targets(
     return tuple(values), tuple(weights)
 
 
-@lru_cache(maxsize=None)
-def _masks(t: int, weight: int) -> np.ndarray:
-    """Every t-bit mask with the given number of one-bits, ascending; read-only."""
-    masks = np.array(
-        sorted(sum(1 << b for b in bits) for bits in combinations(range(t), weight)),
-        dtype=np.uint64,
-    )
-    masks.flags.writeable = False
-    return masks
-
-
 def _inner_search(
     t: int,
     weight: int,
@@ -148,7 +137,7 @@ def _inner_search(
     sampled targets, one is drawn uniformly. Returns None exactly when no
     mask is valid.
     """
-    masks = _masks(t, weight)
+    masks = weight_masks(t, weight)
     members = np.array(member_quarters, dtype=np.uint64)
     coinc = t - np.bitwise_count(masks[:, None] ^ members[None, :]).astype(np.int64)
     allowed = np.zeros((len(feasible), t + 1), dtype=bool)

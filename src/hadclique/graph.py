@@ -23,12 +23,21 @@ independent pools of quarter patterns whose juxtapositions are exactly the
 neighbors in that class.  Neighbors with more than t/2 ones per end-quarter
 are complements of generated ones.  This module implements that machinery
 plus exact counting (degrees, edge totals) from the same binomial products.
+
+The searches do not materialize neighbor sets at all.  A code splits into a
+left half (quarters 1-2) and a right half (quarters 3-4), each a 2t-bit word
+of weight t, and a candidate is orthogonal to member u exactly when the
+agreements of its left half with u's plus those of its right half make 2t.
+NeighborPool keeps the surviving halves of each side with a group id that
+pairs them (Horowitz-Sahni split and join), so the common neighborhood of
+a clique is counted, ranked and enumerated from C(2t, t) halves per side.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
 from random import Random
 from typing import Iterator, Mapping, Sequence
@@ -71,6 +80,9 @@ __all__ = [
     "degree",
     "edge_count",
     "adjacency",
+    "weight_masks",
+    "NeighborPool",
+    "vertex_pool",
     "sample_neighbor",
     "random_vertex",
 ]
@@ -451,6 +463,121 @@ def adjacency(v: VertexCode) -> np.ndarray:
     out = np.concatenate(chunks)
     out.sort()
     return out
+
+
+# --- common-neighborhood kernel ----------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def weight_masks(n: int, weight: int) -> np.ndarray:
+    """Every n-bit mask with the given number of one-bits, ascending; read-only."""
+    masks = np.array(
+        sorted(sum(1 << b for b in bits) for bits in combinations(range(n), weight)),
+        dtype=np.uint64,
+    )
+    masks.flags.writeable = False
+    return masks
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class NeighborPool:
+    """The vertices of G_t adjacent to every member of a clique, as halves.
+
+    A code is ``left << 2t | right``.  ``left`` and ``right`` hold the
+    surviving halves of each side in ascending order; a left and a right
+    half form a pool vertex exactly when their group ids are equal, so the
+    pool is the disjoint union over groups of left x right.  Ascending
+    left-then-right order is ascending code order, which makes ranks agree
+    with a sorted materialized pool.
+    """
+
+    t: int
+    left: np.ndarray
+    left_group: np.ndarray
+    right: np.ndarray
+    right_group: np.ndarray
+    groups: int
+    size: int
+
+    def refine(self, code: int) -> NeighborPool:
+        """The sub-pool of vertices also orthogonal to ``code``.
+
+        A vertex agrees with u in 4t - popcount(L ^ u_hi) - popcount(R ^ u_lo)
+        positions, so it is orthogonal when popcount(L ^ u_hi) equals
+        2t - popcount(R ^ u_lo).  Each side is keyed by its term, (group,
+        key) pairs are renumbered jointly, and halves left without a
+        partner are dropped.
+        """
+        half = 2 * self.t
+        width = half + 1
+        hi, lo = np.uint64(code >> half), np.uint64(code & ((1 << half) - 1))
+        lkey = np.bitwise_count(self.left ^ hi).astype(np.intp)
+        rkey = half - np.bitwise_count(self.right ^ lo).astype(np.intp)
+        lid = self.left_group * width + lkey
+        rid = self.right_group * width + rkey
+        nl = np.bincount(lid, minlength=self.groups * width)
+        nr = np.bincount(rid, minlength=self.groups * width)
+        both = (nl > 0) & (nr > 0)
+        renumber = np.cumsum(both) - 1
+        keep_l, keep_r = both[lid], both[rid]
+        return NeighborPool(
+            t=self.t,
+            left=self.left[keep_l],
+            left_group=renumber[lid[keep_l]],
+            right=self.right[keep_r],
+            right_group=renumber[rid[keep_r]],
+            groups=int(both.sum()),
+            size=int(nl @ nr),
+        )
+
+    def code_at(self, r: int) -> int:
+        """The rank-r code of the pool in ascending order."""
+        if not 0 <= r < self.size:
+            raise IndexError(f"rank {r} outside a pool of {self.size}")
+        per_left = np.bincount(self.right_group, minlength=self.groups)[self.left_group]
+        ends = np.cumsum(per_left)
+        i = int(np.searchsorted(ends, r, side="right"))
+        partners = self.right[self.right_group == self.left_group[i]]
+        return (int(self.left[i]) << (2 * self.t)) | int(partners[r - int(ends[i] - per_left[i])])
+
+    def codes(self) -> np.ndarray:
+        """Materialize the pool as an ascending uint64 code array."""
+        order = np.argsort(self.right_group, kind="stable")
+        counts = np.bincount(self.right_group, minlength=self.groups)
+        per_left = counts[self.left_group]
+        first = (np.cumsum(counts) - counts)[self.left_group]
+        # position j of left half i's run reads right[order[first[i] + j]]
+        run_start = np.cumsum(per_left) - per_left
+        idx = np.repeat(first - run_start, per_left) + np.arange(self.size)
+        return (np.repeat(self.left, per_left) << np.uint64(2 * self.t)) | self.right[order[idx]]
+
+
+@lru_cache(maxsize=None)
+def vertex_pool(t: int) -> NeighborPool:
+    """Every vertex of G_t as a pool; refine it by each member of a clique.
+
+    Both sides start as the C(2t, t) words of weight t.  A left half's
+    group is the weight of its top t bits (quarter 1), a right half's the
+    weight of its low t bits (quarter 4): equal groups give quarter weights
+    (k, t-k, t-k, k).  Shared by every caller, so its arrays are read-only.
+    Requires 4t <= 64.
+    """
+    if not 1 <= t <= 16:
+        raise RangeError(f"the neighbor pool needs 1 <= t and 4t <= 64 bits, got t={t}")
+    halves = weight_masks(2 * t, t)
+    left_group = np.bitwise_count(halves >> np.uint64(t)).astype(np.intp)
+    right_group = np.bitwise_count(halves & np.uint64((1 << t) - 1)).astype(np.intp)
+    left_group.flags.writeable = False
+    right_group.flags.writeable = False
+    return NeighborPool(
+        t=t,
+        left=halves,
+        left_group=left_group,
+        right=halves,
+        right_group=right_group,
+        groups=t + 1,
+        size=vertex_count(t),
+    )
 
 
 def random_vertex(t: int, rng: Random, k: int | None = None) -> VertexCode:

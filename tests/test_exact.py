@@ -1,5 +1,8 @@
+import time
+import tracemalloc
 from random import Random
 
+import numpy as np
 import pytest
 
 from hadclique import (
@@ -7,6 +10,7 @@ from hadclique import (
     InvalidClique,
     Clique,
     ExactSearchConfig,
+    adjacency,
     brute_adjacency_codes,
     clique_from_codes,
     decode,
@@ -14,6 +18,7 @@ from hadclique import (
     run_exact,
     verify_clique,
 )
+from hadclique.exact import _random_start
 
 
 def test_config_validation():
@@ -111,3 +116,55 @@ def test_extend_exact_rejects_invalid_input():
 def test_extend_exact_candidate_cap():
     with pytest.raises(CandidateOverflow):
         extend_exact(Clique(t=5, members=()), Random(0), candidate_cap=10)
+
+
+def _replay_greedy(t: int, members: list[int], rng: Random) -> list[int]:
+    """The greedy loop over a materialized pool: graph.adjacency, then popcount filters."""
+    pool = adjacency(decode(members[0], t))
+    for code in members[1:]:
+        pool = pool[np.bitwise_count(pool ^ np.uint64(code)) == 2 * t]
+    while pool.size:
+        pick = int(pool[rng.randrange(pool.size)])
+        members.append(pick)
+        pool = pool[np.bitwise_count(pool ^ np.uint64(pick)) == 2 * t]
+    return members
+
+
+@pytest.mark.parametrize("t", range(2, 8))
+def test_run_exact_replays_the_materialized_search(t):
+    for seed in (0, 7, 31):
+        want = []
+        for i in range(4):
+            rng = Random(seed + i)
+            want.append(_replay_greedy(t, [_random_start(t, rng).code], rng))
+        for jobs in (1, 2):
+            rep = run_exact(ExactSearchConfig(t=t, essays=4, rng_seed=seed), jobs=jobs)
+            assert [e.clique.codes for e in rep.essays] == want, (seed, jobs)
+
+
+@pytest.mark.parametrize("t", range(2, 8))
+def test_extend_exact_replays_the_materialized_search(t):
+    for seed in range(3):
+        base = run_exact(ExactSearchConfig(t=t, essays=1, rng_seed=100 + seed)).best
+        for keep in (1, 2, len(base) // 2):
+            prefix = base.codes[:keep]
+            got = extend_exact(clique_from_codes(t, prefix), Random(seed))
+            assert got.codes == _replay_greedy(t, list(prefix), Random(seed)), (seed, keep)
+
+
+def test_one_essay_at_t9_is_fast_and_small():
+    # a materialized t = 9 pool holds up to 154M codes: ~6 s and ~2.5 GB per essay
+    tracemalloc.start()
+    try:
+        begin = time.perf_counter()
+        rep = run_exact(ExactSearchConfig(t=9, essays=1, rng_seed=0))
+        seconds = time.perf_counter() - begin
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    essay = rep.essays[0]
+    assert not essay.overflow
+    assert len(essay.clique) > 1
+    assert verify_clique(essay.clique)
+    assert peak < 50e6
+    assert seconds < 2.0
