@@ -47,7 +47,6 @@ from .graph import (
     quarters_of,
     random_vertex,
     s_range,
-    sample_neighbor,
     solve_distributions,
     vertex_count,
 )

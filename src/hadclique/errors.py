@@ -39,10 +39,6 @@ class InfeasibleQuarter(HadcliqueError):
     """A demanded per-quarter coincidence count cannot be realized."""
 
 
-class IsolatedVertex(HadcliqueError):
-    """The vertex has no neighbors, so nothing can be sampled."""
-
-
 # --- oracle ---
 
 class TooLarge(HadcliqueError):

@@ -11,9 +11,9 @@ by construction: the essay only stops when the pool is empty.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from random import Random
+from typing import Sequence
 
 from .errors import CandidateOverflow, InvalidClique
 from .graph import (
@@ -26,7 +26,7 @@ from .graph import (
     vertex_pool,
 )
 from .oracle import verify_clique
-from .report import EssayResult, SearchReport, utc_stamp
+from .report import EssayResult, SearchReport, run_essays
 
 __all__ = ["ExactSearchConfig", "run_exact", "extend_exact"]
 
@@ -76,70 +76,58 @@ def _filter_pool(pool: NeighborPool, code: int) -> NeighborPool:
     return pool.refine(code)
 
 
+def _grow(anchor: VertexCode, members: Sequence[int], rng: Random) -> list[int]:
+    """The codes of a maximal clique: anchor, then members, then the picks.
+
+    members must be pairwise orthogonal and orthogonal to anchor. The pool
+    starts as the neighbors of anchor and is refined by each member; each
+    pick is a uniform rank in the pool, which is then refined by the pick,
+    until the pool is empty.
+    """
+    codes = [anchor.code, *members]
+    pool = adjacency(anchor)
+    for code in members:
+        pool = _filter_pool(pool, code)
+    while pool.size:
+        pick = pool.code_at(rng.randrange(pool.size))
+        codes.append(pick)
+        pool = _filter_pool(pool, pick)
+    return codes
+
+
 def _greedy_essay(cfg: ExactSearchConfig, index: int) -> EssayResult:
     rng = Random(cfg.rng_seed + index)
     t = cfg.t
     begin = time.perf_counter()
     start = cfg.start_vertex if cfg.start_vertex is not None else _random_start(t, rng)
-    members = [start.code]
-    if degree(t, start.k) > cfg.candidate_cap:
-        return EssayResult(
-            index=index,
-            clique=clique_from_codes(t, members),
-            seconds=time.perf_counter() - begin,
-            overflow=True,
-        )
-    pool = adjacency(start)
-    while pool.size:
-        pick = pool.code_at(rng.randrange(pool.size))
-        members.append(pick)
-        pool = _filter_pool(pool, pick)
+    overflow = degree(t, start.k) > cfg.candidate_cap
+    codes = [start.code] if overflow else _grow(start, (), rng)
     return EssayResult(
         index=index,
-        clique=clique_from_codes(t, members),
+        clique=clique_from_codes(t, codes),
         seconds=time.perf_counter() - begin,
+        overflow=overflow,
     )
 
 
 def run_exact(cfg: ExactSearchConfig, jobs: int = 1, time_limit: float | None = None) -> SearchReport:
-    """Run cfg.essays independent greedy essays and collect the results.
+    """Run cfg.essays independent greedy essays through report.run_essays.
 
     Essay i draws all randomness from Random(rng_seed + i), so results are
     reproducible and independent of jobs. A start vertex whose class degree
     exceeds candidate_cap aborts that essay with overflow=True rather than
     raising; the cap bounds the degree, not memory, since the pool never
-    holds the neighbors themselves. time_limit is checked between essays:
-    once exceeded, the remaining essays are skipped.
+    holds the neighbors themselves. run_essays holds the wave and
+    time_limit rules.
     """
-    started = utc_stamp()
-    clock = time.perf_counter()
-    results: list[EssayResult] = []
-    indices = list(range(cfg.essays))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for at in range(0, cfg.essays, jobs):
-                if time_limit is not None and time.perf_counter() - clock > time_limit and results:
-                    break
-                wave = indices[at:at + jobs]
-                results.extend(pool.map(lambda i: _greedy_essay(cfg, i), wave))
-    else:
-        for i in indices:
-            if time_limit is not None and time.perf_counter() - clock > time_limit and results:
-                break
-            results.append(_greedy_essay(cfg, i))
-    results.sort(key=lambda e: e.index)
-    return SearchReport(
-        algorithm="exact",
-        t=cfg.t,
-        config=(
-            ("essays", cfg.essays),
-            ("rng_seed", cfg.rng_seed),
-            ("start_vertex", "-" if cfg.start_vertex is None else cfg.start_vertex.code),
-            ("candidate_cap", cfg.candidate_cap),
-        ),
-        essays=tuple(results),
-        started=started,
-        finished=utc_stamp(),
+    config = (
+        ("essays", cfg.essays),
+        ("rng_seed", cfg.rng_seed),
+        ("start_vertex", "-" if cfg.start_vertex is None else cfg.start_vertex.code),
+        ("candidate_cap", cfg.candidate_cap),
+    )
+    return run_essays(
+        "exact", cfg.t, config, lambda i: _greedy_essay(cfg, i), cfg.essays, jobs, time_limit
     )
 
 
@@ -157,20 +145,11 @@ def extend_exact(c: Clique, rng: Random, candidate_cap: int = DEFAULT_CANDIDATE_
         raise InvalidClique(rep.message)
     t = c.t
     if c.members:
-        anchor = c.members[0]
-        members = [v.code for v in c.members]
+        anchor, members = c.members[0], c.codes[1:]
     else:
-        anchor = _random_start(t, rng)
-        members = [anchor.code]
+        anchor, members = _random_start(t, rng), []
     if degree(t, anchor.k) > candidate_cap:
         raise CandidateOverflow(
             f"class k={anchor.k} at t={t} has {degree(t, anchor.k)} neighbors, cap is {candidate_cap}"
         )
-    pool = adjacency(anchor)
-    for code in members[1:]:
-        pool = _filter_pool(pool, code)
-    while pool.size:
-        pick = pool.code_at(rng.randrange(pool.size))
-        members.append(pick)
-        pool = _filter_pool(pool, pick)
-    return clique_from_codes(t, members)
+    return clique_from_codes(t, _grow(anchor, members, rng))

@@ -15,7 +15,6 @@ almost all of the graph.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from random import Random
@@ -35,7 +34,7 @@ from .graph import (
     weight_masks,
 )
 from .oracle import verify_clique
-from .report import EssayResult, SearchReport, utc_stamp
+from .report import EssayResult, SearchReport, run_essays
 
 __all__ = [
     "FastConfig",
@@ -251,47 +250,22 @@ def run_fast(seed: Clique, cfg: FastConfig) -> Clique:
 def run_many(
     seed: Clique, cfg: FastConfig, essays: int, jobs: int = 1, time_limit: float | None = None
 ) -> SearchReport:
-    """Independent run_fast calls; run i uses rng_seed + i.
-
-    Same wave semantics as the other searches: deterministic regardless of
-    jobs, time_limit checked between runs/waves, at least one run always
-    completes.
+    """Independent run_fast calls through report.run_essays, which holds the wave
+    and time_limit rules. Run i uses rng_seed + i, so jobs never changes
+    results.
     """
-    if essays < 1:
-        raise ValueError(f"essays must be positive, got {essays}")
 
     def one(i: int) -> EssayResult:
         begin = time.perf_counter()
         c = run_fast(seed, replace(cfg, rng_seed=cfg.rng_seed + i))
         return EssayResult(index=i, clique=c, seconds=time.perf_counter() - begin)
 
-    started = utc_stamp()
-    clock = time.perf_counter()
-    collected: list[EssayResult] = []
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for at in range(0, essays, jobs):
-                if time_limit is not None and time.perf_counter() - clock > time_limit and collected:
-                    break
-                collected.extend(pool.map(one, range(at, min(at + jobs, essays))))
-    else:
-        for i in range(essays):
-            if time_limit is not None and time.perf_counter() - clock > time_limit and collected:
-                break
-            collected.append(one(i))
-    collected.sort(key=lambda e: e.index)
-    return SearchReport(
-        algorithm="fast",
-        t=cfg.t,
-        config=(
-            ("rng_seed", cfg.rng_seed),
-            ("essays", essays),
-            ("attempts_per_vector", cfg.attempts_per_vector),
-            ("quarter_backtracks", cfg.backtracks),
-            ("stall_limit", cfg.stalls),
-            ("seed_size", len(seed)),
-        ),
-        essays=tuple(collected),
-        started=started,
-        finished=utc_stamp(),
+    config = (
+        ("rng_seed", cfg.rng_seed),
+        ("essays", essays),
+        ("attempts_per_vector", cfg.attempts_per_vector),
+        ("quarter_backtracks", cfg.backtracks),
+        ("stall_limit", cfg.stalls),
+        ("seed_size", len(seed)),
     )
+    return run_essays("fast", cfg.t, config, one, essays, jobs, time_limit)

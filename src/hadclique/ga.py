@@ -12,7 +12,6 @@ present (as a member set, order ignored).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Sequence
@@ -20,7 +19,7 @@ from typing import Callable, Sequence
 from .errors import BothEmpty, HadcliqueError
 from .exact import extend_exact
 from .graph import Clique, VertexCode, orthogonal_codes, random_vertex
-from .report import EssayResult, SearchReport, utc_stamp
+from .report import EssayResult, SearchReport, run_essays, utc_stamp
 
 __all__ = ["GaConfig", "Chromosome", "crossover", "repair", "mutate", "run_ga", "run_many"]
 
@@ -201,34 +200,16 @@ def _config_echo(cfg: GaConfig) -> tuple[tuple[str, object], ...]:
 def run_many(
     cfg: GaConfig, essays: int, jobs: int = 1, time_limit: float | None = None
 ) -> SearchReport:
-    """Independent GA runs; run i uses rng_seed + i, so jobs never changes results.
-
-    time_limit is checked between runs (between waves when jobs > 1); at
-    least one run always completes.
+    """Independent GA runs through report.run_essays, which holds the wave
+    and time_limit rules. Run i uses rng_seed + i, so jobs never changes
+    results.
     """
-    if essays < 1:
-        raise ValueError(f"essays must be positive, got {essays}")
-    started = utc_stamp()
-    clock = time.perf_counter()
-    collected: list[EssayResult] = []
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for at in range(0, essays, jobs):
-                if time_limit is not None and time.perf_counter() - clock > time_limit and collected:
-                    break
-                wave = range(at, min(at + jobs, essays))
-                collected.extend(pool.map(lambda i: run_ga(cfg, i).essays[0], wave))
-    else:
-        for i in range(essays):
-            if time_limit is not None and time.perf_counter() - clock > time_limit and collected:
-                break
-            collected.append(run_ga(cfg, i).essays[0])
-    collected.sort(key=lambda e: e.index)
-    return SearchReport(
-        algorithm="ga",
-        t=cfg.t,
-        config=_config_echo(cfg) + (("essays", essays),),
-        essays=tuple(collected),
-        started=started,
-        finished=utc_stamp(),
+    return run_essays(
+        "ga",
+        cfg.t,
+        _config_echo(cfg) + (("essays", essays),),
+        lambda i: run_ga(cfg, i).essays[0],
+        essays,
+        jobs,
+        time_limit,
     )

@@ -46,7 +46,6 @@ import numpy as np
 
 from .errors import (
     InfeasibleQuarter,
-    IsolatedVertex,
     KOutOfRange,
     MismatchedT,
     PatternError,
@@ -83,7 +82,6 @@ __all__ = [
     "weight_masks",
     "NeighborPool",
     "vertex_pool",
-    "sample_neighbor",
     "random_vertex",
 ]
 
@@ -361,11 +359,6 @@ def generator_set(v: VertexCode, ordered_alphas: Sequence[int], s: int) -> Gener
     )
 
 
-def _pool_size(t: int, k: int, s: int, alpha: int) -> int:
-    i = (alpha - t + k + s) // 2
-    return math.comb(k, i) * math.comb(t - k, s - i)
-
-
 # --- exact counting ----------------------------------------------------------
 
 
@@ -422,7 +415,7 @@ def edge_count(t: int) -> int:
     return sum(class_size(t, k) * degree(t, k) for k in range(t + 1)) // 2
 
 
-# --- adjacency enumeration and sampling --------------------------------------
+# --- adjacency enumeration ---------------------------------------------------
 
 
 def _combine_pools(gs: GeneratorSet) -> np.ndarray:
@@ -471,10 +464,18 @@ def adjacency(v: VertexCode) -> np.ndarray:
 @lru_cache(maxsize=None)
 def weight_masks(n: int, weight: int) -> np.ndarray:
     """Every n-bit mask with the given number of one-bits, ascending; read-only."""
-    masks = np.array(
-        sorted(sum(1 << b for b in bits) for bits in combinations(range(n), weight)),
-        dtype=np.uint64,
-    )
+    # rows[w] holds the ascending m-bit masks of weight w, for each w that
+    # the bits still to come can lift to weight.  Adding bit m puts the masks
+    # with it, all at least 1 << m, after those without it.
+    empty = np.empty(0, dtype=np.uint64)
+    rows = {0: np.zeros(1, dtype=np.uint64)}
+    for m in range(n):
+        top = np.uint64(1 << m)
+        rows = {
+            w: np.concatenate((rows.get(w, empty), rows.get(w - 1, empty) | top))
+            for w in range(max(0, weight - (n - 1 - m)), weight + 1)
+        }
+    masks = rows.get(weight, empty)
     masks.flags.writeable = False
     return masks
 
@@ -589,62 +590,3 @@ def random_vertex(t: int, rng: Random, k: int | None = None) -> VertexCode:
     for weight in (k, t - k, t - k, k):
         qs.append(sum(1 << b for b in rng.sample(range(t), weight)))
     return VertexCode(t=t, code=join_quarters(qs, t), k=k)
-
-
-def _sample_pool_mask(ref_quarter: int, t: int, weight: int, i: int, in_ones: bool, rng: Random) -> int:
-    """Uniform member of the pool _pool(ref_quarter, t, weight, i, in_ones)."""
-    if not in_ones:
-        flipped = _sample_pool_mask(
-            ref_quarter ^ ((1 << t) - 1), t, t - weight, i, True, rng
-        )
-        return flipped ^ ((1 << t) - 1)
-    ones = [b for b in range(t) if (ref_quarter >> b) & 1]
-    zeros = [b for b in range(t) if not (ref_quarter >> b) & 1]
-    sel = rng.sample(ones, i) + rng.sample(zeros, weight - i)
-    return sum(1 << b for b in sel)
-
-
-def sample_neighbor(v: VertexCode, rng: Random) -> VertexCode:
-    """Uniform random neighbor of v, without materializing the adjacency.
-
-    Draws the class s with weight 2*N(t,k,s) (N alone for the self-paired
-    s = t/2 class), an ordered coincidence tuple with weight equal to its
-    pool-size product, one pattern per pool, and finally complements on a
-    fair coin.  Each neighbor is produced exactly one way before the coin,
-    and the coin pairs every generated vector with its complement, so the
-    draw is uniform over all degree(t, k) neighbors.
-    """
-    t = v.t
-    base = complement(v) if v.k > t // 2 else v
-    k = base.k
-    classes = []
-    weights = []
-    for s in s_range(t, k):
-        n = count_orthogonal(t, k, s)
-        if n:
-            classes.append(s)
-            weights.append(2 * n if 2 * s < t else n)
-    if not classes:
-        raise IsolatedVertex(f"vertex {v.code} has no neighbors in G_{t}")
-    s = rng.choices(classes, weights=weights)[0]
-
-    ordered_tuples: list[tuple[int, int, int, int]] = []
-    tuple_weights: list[int] = []
-    for ct in solve_distributions(t, k, s):
-        for ordered in distinct_orderings(ct):
-            ordered_tuples.append(ordered)
-            tuple_weights.append(math.prod(_pool_size(t, k, s, a) for a in ordered))
-    ordered = rng.choices(ordered_tuples, weights=tuple_weights)[0]
-
-    vq = quarters_of(base.code, t)
-    cand_weights = (s, t - s, t - s, s)
-    qs = []
-    for q in range(4):
-        i = (ordered[q] - t + k + s) // 2
-        qs.append(_sample_pool_mask(vq[q], t, cand_weights[q], i, q in (0, 3), rng))
-    code = join_quarters(qs, t)
-    kk = s
-    if rng.random() < 0.5:
-        code ^= full_mask(t)
-        kk = t - s
-    return VertexCode(t=t, code=code, k=kk)

@@ -2,17 +2,22 @@
 
 A search produces one :class:`EssayResult` per independent attempt and a
 :class:`SearchReport` wrapping them together with the configuration echo.
-Reports are pure data; serialization lives in :mod:`hadclique.files`.
+:func:`run_essays` runs the attempts of every search. Reports are pure
+data; serialization lives in :mod:`hadclique.files`.
 """
 
 from __future__ import annotations
 
+import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from typing import Callable
 
 from .graph import Clique
 
-__all__ = ["EssayResult", "SearchReport", "utc_stamp"]
+__all__ = ["EssayResult", "SearchReport", "run_essays", "utc_stamp"]
 
 
 def utc_stamp() -> str:
@@ -97,3 +102,44 @@ class SearchReport:
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(e.size for e in self.essays)
+
+
+def run_essays(
+    algorithm: str,
+    t: int,
+    config: tuple[tuple[str, object], ...],
+    essay: Callable[[int], EssayResult],
+    essays: int,
+    jobs: int = 1,
+    time_limit: float | None = None,
+) -> SearchReport:
+    """Run essay(0) .. essay(essays - 1) and collect them in a report.
+
+    Essays run in waves of jobs threads; jobs = 1 runs them inline on the
+    caller's thread. time_limit, in seconds, is checked between waves: the
+    first wave always runs, a started wave always finishes, and the rest
+    are skipped once it has passed. Results keep index order, so when each
+    essay draws its randomness from its index the report does not depend
+    on jobs.
+    """
+    if essays < 1:
+        raise ValueError(f"essays must be positive, got {essays}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs}")
+    started = utc_stamp()
+    clock = time.perf_counter()
+    results: list[EssayResult] = []
+    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        for at in range(0, essays, jobs):
+            if results and time_limit is not None and time.perf_counter() - clock > time_limit:
+                break
+            results.extend(run(essay, range(at, min(at + jobs, essays))))
+    return SearchReport(
+        algorithm=algorithm,
+        t=t,
+        config=config,
+        essays=tuple(results),
+        started=started,
+        finished=utc_stamp(),
+    )

@@ -68,6 +68,8 @@ def test_usage_errors_exit_64(capsys):
     assert main(["nonesuch"]) == EX_USAGE
     assert main(["search", "ga", "--t", "2", "--pb", "0.1"]) == EX_USAGE
     assert main(["search", "fast", "--t", "17"]) == EX_USAGE
+    assert main(["search", "exact", "--t", "3", "--jobs", "0"]) == EX_USAGE
+    assert main(["search", "exact", "--t", "3", "--jobs", "-2"]) == EX_USAGE
     with open("big.clq", "w") as fh:
         fh.write("17\n")
     assert main(["extend", "big.clq", "--algorithm", "fast"]) == EX_USAGE
@@ -125,6 +127,23 @@ def test_search_ga_and_fast_smoke(tmp_path, capsys):
         ["search", "fast", "--t", "2", "--essays", "1", "--out", str(out2)]
     ) == EX_OK
     assert read_report(out2)["algorithm"] == "fast"
+
+
+@pytest.mark.parametrize(
+    "algorithm, t, essays", [("exact", 5, 5), ("ga", 4, 3), ("fast", 4, 3)]
+)
+def test_report_body_does_not_depend_on_jobs(algorithm, t, essays, tmp_path, capsys):
+    bodies = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}.report"
+        assert main(
+            ["search", algorithm, "--t", str(t), "--essays", str(essays), "--rng-seed", "3",
+             "--jobs", str(jobs), "--out", str(out)]
+        ) == EX_OK
+        lines = out.read_text().splitlines(keepends=True)
+        bodies.append("".join(line for line in lines if not line.startswith("#")))
+    assert bodies[0] == bodies[1]
+    assert f"essays: {essays}\n" in bodies[0]
 
 
 def test_search_fast_with_seed_file(tmp_path, capsys):

@@ -30,7 +30,6 @@ from hadclique import (
     quarters_of,
     random_vertex,
     s_range,
-    sample_neighbor,
     solve_distributions,
     vertex_count,
 )
@@ -309,17 +308,6 @@ def test_random_vertex_is_well_formed(t, seed):
     v = random_vertex(t, Random(seed))
     assert decode(v.code, t) == v
     assert 0 <= v.k <= t
-
-
-@given(st.integers(min_value=0, max_value=2**32))
-@settings(max_examples=30, deadline=None)
-def test_sample_neighbor_is_orthogonal(seed):
-    rng = Random(seed)
-    t = rng.choice([2, 4, 5, 6])
-    k = rng.choice([k for k in range(t // 2 + 1) if degree(t, k) > 0])
-    v = random_vertex(t, rng, k=k)
-    w = sample_neighbor(v, rng)
-    assert orthogonal(v, w)
 
 
 def test_adjacency_sizes_match_degree():

@@ -6,6 +6,7 @@ The kernel must hold the same set, count it exactly and rank it in the same
 ascending order.
 """
 
+from itertools import combinations
 from random import Random
 
 import hypothesis.strategies as st
@@ -81,6 +82,15 @@ def test_vertex_pool_holds_every_vertex(t):
     whole = vertex_pool(t)
     assert whole.size == len(vertex_codes(t))
     assert np.array_equal(whole.codes(), vertex_codes(t))
+
+
+def test_weight_masks_match_combinations():
+    for n in range(17):
+        for weight in range(n + 2):
+            want = sorted(sum(1 << b for b in bits) for bits in combinations(range(n), weight))
+            got = weight_masks(n, weight)
+            assert got.dtype == np.uint64
+            assert got.tolist() == want, (n, weight)
 
 
 def test_shared_tables_are_read_only():
