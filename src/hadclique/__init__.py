@@ -12,7 +12,6 @@ from .errors import (
     BadCharacter,
     BadShape,
     BothEmpty,
-    CandidateOverflow,
     HadcliqueError,
     InvalidClique,
     InvalidSeed,
@@ -20,6 +19,7 @@ from .errors import (
     NoDecomposition,
     NotOrthogonal,
     PatternError,
+    PoolTooLarge,
     RaggedRows,
     RangeError,
     TooLarge,
@@ -71,10 +71,8 @@ from .files import (
     write_clique,
     write_report,
 )
-from .fast import run_many as run_fast_many
 from .ga import Chromosome, GaConfig, crossover, mutate, repair, run_ga
-from .ga import run_many as run_ga_many
-from .report import EssayResult, SearchReport, utc_stamp
+from .report import EssayResult, SearchReport
 from .seeds import (
     format_sign_matrix,
     ingest_sign_matrix,

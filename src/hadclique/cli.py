@@ -29,8 +29,6 @@ EX_VERIFY = 1
 EX_EMPTY = 2
 EX_USAGE = 64
 
-STATS_T_MAX = 8
-
 # published census totals, used by the bench census suite as a cross-check
 KNOWN_CENSUS = {
     1: (2, 0),
@@ -123,8 +121,8 @@ def _effective_seed(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     t = args.t
-    if not 1 <= t <= STATS_T_MAX:
-        raise _Usage(f"stats needs 1 <= t <= {STATS_T_MAX}, got {t}")
+    if not 1 <= t <= graph.MAX_T:
+        raise _Usage(f"stats needs 1 <= t <= {graph.MAX_T}, got {t}")
     print(f"G_{t}: width 4t = {4 * t}")
     print(f"{'k':>3} {'vertices':>12} {'degree':>14}")
     for k in range(t + 1):
@@ -139,8 +137,7 @@ def _human_report(rep: SearchReport) -> None:
     print(f"algorithm {rep.algorithm}  t={rep.t}  {cfg}")
     print(f"{'essay':>5} {'size':>5} {'seconds':>8}")
     for e in rep.essays:
-        flag = " overflow" if e.overflow else ""
-        print(f"{e.index:>5} {e.size:>5} {e.seconds:>8.3f}{flag}")
+        print(f"{e.index:>5} {e.size:>5} {e.seconds:>8.3f}")
     best = rep.best
     print(f"best: size {len(best)} (essay {rep.best_essay})")
     print(f"matrix depth {rep.depth} of width {4 * rep.t}; "
@@ -242,13 +239,16 @@ def cmd_paley(args: argparse.Namespace) -> int:
 def cmd_extend(args: argparse.Namespace) -> int:
     c = read_clique(args.path)
     seed = _effective_seed(args)
+    try:
+        if args.algorithm == "exact":
+            graph.pool_bytes(c.t)
+        else:
+            cfg = fast.FastConfig(t=c.t, rng_seed=seed)
+    except ValueError as exc:
+        raise _Usage(str(exc)) from None
     if args.algorithm == "exact":
         grown = exact.extend_exact(c, Random(seed))
     else:
-        try:
-            cfg = fast.FastConfig(t=c.t, rng_seed=seed)
-        except ValueError as exc:
-            raise _Usage(str(exc)) from None
         grown = fast.run_fast(c, cfg)
     if len(grown) == len(c):
         print("warning: no extension found", file=sys.stderr)

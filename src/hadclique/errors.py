@@ -39,6 +39,12 @@ class InfeasibleQuarter(HadcliqueError):
     """A demanded per-quarter coincidence count cannot be realized."""
 
 
+class PoolTooLarge(RangeError, ValueError):
+    """The neighbor pool of G_t cannot be held: 4t > 64, or its byte
+    estimate exceeds physical memory. A ValueError, so the CLI reports a
+    usage error, where a RangeError from decoding a code is a bad input."""
+
+
 # --- oracle ---
 
 class TooLarge(HadcliqueError):
@@ -50,10 +56,6 @@ class InvalidClique(HadcliqueError):
 
 
 # --- searches ---
-
-class CandidateOverflow(HadcliqueError):
-    """The start class's degree exceeds the configured candidate cap."""
-
 
 class BothEmpty(HadcliqueError):
     """Crossover needs at least one parent with nonzero fitness."""

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 from random import Random
 from typing import Sequence
 
-from .errors import CandidateOverflow, InvalidClique
+from .errors import InvalidClique
 from .graph import (
     Clique,
     NeighborPool,
     VertexCode,
     clique_from_codes,
     degree,
+    pool_bytes,
     random_vertex,
     vertex_pool,
 )
@@ -30,8 +31,6 @@ from .report import EssayResult, SearchReport, run_essays
 
 __all__ = ["ExactSearchConfig", "run_exact", "extend_exact"]
 
-DEFAULT_CANDIDATE_CAP = 200_000_000
-
 
 @dataclass(frozen=True, slots=True)
 class ExactSearchConfig:
@@ -39,15 +38,11 @@ class ExactSearchConfig:
     essays: int = 10
     rng_seed: int = 0
     start_vertex: VertexCode | None = None
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP
 
     def __post_init__(self) -> None:
-        if self.t < 1:
-            raise ValueError(f"t must be positive, got {self.t}")
+        pool_bytes(self.t)
         if self.essays < 1:
             raise ValueError(f"essays must be positive, got {self.essays}")
-        if self.candidate_cap < 1:
-            raise ValueError(f"candidate_cap must be positive, got {self.candidate_cap}")
         if self.start_vertex is not None and self.start_vertex.t != self.t:
             raise ValueError("start_vertex belongs to a different G_t")
 
@@ -100,45 +95,36 @@ def _greedy_essay(cfg: ExactSearchConfig, index: int) -> EssayResult:
     t = cfg.t
     begin = time.perf_counter()
     start = cfg.start_vertex if cfg.start_vertex is not None else _random_start(t, rng)
-    overflow = degree(t, start.k) > cfg.candidate_cap
-    codes = [start.code] if overflow else _grow(start, (), rng)
-    return EssayResult(
-        index=index,
-        clique=clique_from_codes(t, codes),
-        seconds=time.perf_counter() - begin,
-        overflow=overflow,
-    )
+    clique = clique_from_codes(t, _grow(start, (), rng))
+    return EssayResult(index=index, clique=clique, seconds=time.perf_counter() - begin)
 
 
 def run_exact(cfg: ExactSearchConfig, jobs: int = 1, time_limit: float | None = None) -> SearchReport:
     """Run cfg.essays independent greedy essays through report.run_essays.
 
     Essay i draws all randomness from Random(rng_seed + i), so results are
-    reproducible and independent of jobs. A start vertex whose class degree
-    exceeds candidate_cap aborts that essay with overflow=True rather than
-    raising; the cap bounds the degree, not memory, since the pool never
-    holds the neighbors themselves. run_essays holds the wave and
-    time_limit rules.
+    reproducible and independent of jobs. Every essay runs to a maximal
+    clique: memory is set by the pool's halves, not by any degree, and cfg
+    has passed graph.pool_bytes. run_essays holds the wave and time_limit
+    rules; a started essay is not interrupted.
     """
     config = (
         ("essays", cfg.essays),
         ("rng_seed", cfg.rng_seed),
         ("start_vertex", "-" if cfg.start_vertex is None else cfg.start_vertex.code),
-        ("candidate_cap", cfg.candidate_cap),
     )
     return run_essays(
         "exact", cfg.t, config, lambda i: _greedy_essay(cfg, i), cfg.essays, jobs, time_limit
     )
 
 
-def extend_exact(c: Clique, rng: Random, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> Clique:
+def extend_exact(c: Clique, rng: Random) -> Clique:
     """Greedily extend c to a maximal clique containing it.
 
     An empty c starts a fresh essay from a random vertex. The input members
-    are validated first and an invalid clique is rejected; if the degree of
-    the first member's class exceeds candidate_cap, CandidateOverflow is
-    raised. The cap bounds that degree, not memory: the pool is held as
-    halves and never materialized.
+    are validated first and an invalid clique is rejected. The pool is held
+    as halves and never materialized; graph.vertex_pool raises PoolTooLarge
+    for a t past graph.pool_bytes before it allocates.
     """
     rep = verify_clique(c)
     if not rep:
@@ -148,8 +134,4 @@ def extend_exact(c: Clique, rng: Random, candidate_cap: int = DEFAULT_CANDIDATE_
         anchor, members = c.members[0], c.codes[1:]
     else:
         anchor, members = _random_start(t, rng), []
-    if degree(t, anchor.k) > candidate_cap:
-        raise CandidateOverflow(
-            f"class k={anchor.k} at t={t} has {degree(t, anchor.k)} neighbors, cap is {candidate_cap}"
-        )
     return clique_from_codes(t, _grow(anchor, members, rng))

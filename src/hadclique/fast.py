@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import HadcliqueError, InvalidSeed
 from .graph import (
+    MAX_T,
     Clique,
     VertexCode,
     clique_from_codes,
@@ -46,13 +47,6 @@ __all__ = [
 ]
 
 
-# _inner_search scores every mask of a quarter's weight against every
-# member at once. At t = 16 that is C(16, 8) = 12870 masks by at most
-# 4t - 3 = 61 members, and C(t, t/2) about doubles with each further t.
-# 16 is also the 4t <= 64 limit of the uint64 vertex codes elsewhere.
-MAX_T = 16
-
-
 @dataclass(frozen=True, slots=True)
 class FastConfig:
     """Knobs for the constructive search; None picks the t-scaled default."""
@@ -64,6 +58,8 @@ class FastConfig:
     stall_limit: int | None = None
 
     def __post_init__(self) -> None:
+        # graph.MAX_T (4t <= 64) also bounds _inner_search, which scores all
+        # C(16, 8) = 12870 masks of a quarter against <= 61 members at t = 16
         if not 1 <= self.t <= MAX_T:
             raise ValueError(f"t must be in 1..{MAX_T}, got {self.t}")
         if self.attempts_per_vector < 1:

@@ -76,8 +76,6 @@ def format_report(rep: SearchReport) -> str:
     for e in rep.essays:
         out.append(f"essay.{e.index}.size: {e.size}")
         out.append(f"essay.{e.index}.members: {' '.join(str(c) for c in e.clique.codes)}")
-        if e.overflow:
-            out.append(f"essay.{e.index}.overflow: true")
         if e.generations:
             out.append(f"essay.{e.index}.generations: {' '.join(str(s) for s in e.generations)}")
             out.append(f"essay.{e.index}.first_best_generation: {e.first_best_generation}")

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from .errors import BothEmpty, HadcliqueError
 from .exact import extend_exact
-from .graph import Clique, VertexCode, orthogonal_codes, random_vertex
+from .graph import Clique, VertexCode, orthogonal_codes, pool_bytes, random_vertex
 from .report import EssayResult, SearchReport, run_essays, utc_stamp
 
 __all__ = ["GaConfig", "Chromosome", "crossover", "repair", "mutate", "run_ga", "run_many"]
@@ -34,8 +34,7 @@ class GaConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.t < 1:
-            raise ValueError(f"t must be positive, got {self.t}")
+        pool_bytes(self.t)
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")
         if self.max_generations < 0:

@@ -36,9 +36,10 @@ a clique is counted, ranked and enumerated from C(2t, t) halves per side.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 from random import Random
 from typing import Iterator, Mapping, Sequence
 
@@ -49,11 +50,13 @@ from .errors import (
     KOutOfRange,
     MismatchedT,
     PatternError,
+    PoolTooLarge,
     RangeError,
     WeightError,
 )
 
 __all__ = [
+    "MAX_T",
     "VertexCode",
     "Clique",
     "CoincidenceTuple",
@@ -81,6 +84,7 @@ __all__ = [
     "adjacency",
     "weight_masks",
     "NeighborPool",
+    "pool_bytes",
     "vertex_pool",
     "random_vertex",
 ]
@@ -155,6 +159,9 @@ class AdjacencyProfile:
 
 
 # --- codes -----------------------------------------------------------------
+
+# Codes are uint64 words, so 4t <= 64.
+MAX_T = 16
 
 
 def full_mask(t: int) -> int:
@@ -303,26 +310,17 @@ def distinct_orderings(ct: CoincidenceTuple) -> tuple[tuple[int, int, int, int],
 
 
 def _pool(ref_quarter: int, t: int, weight: int, on_ones: int, in_ones: bool) -> tuple[int, ...]:
-    """Quarter patterns of a given one-bit weight with a fixed overlap.
+    """Quarter patterns of a given one-bit weight with a fixed overlap, ascending.
 
     For quarters 1 and 4 (in_ones=True) the pattern's ones must meet the
     reference quarter's ones in exactly on_ones positions.  For quarters 2
     and 3 the same count applies to the pattern's zeros against the
-    reference's zeros, so the complement pools are built and flipped.
+    reference's zeros.
     """
-    if not in_ones:
-        # zeros-overlap of weight-w patterns == ones-overlap of their
-        # complements (weight t-w) against the flipped reference
-        flipped = _pool(ref_quarter ^ ((1 << t) - 1), t, t - weight, on_ones, True)
-        return tuple(sorted(m ^ ((1 << t) - 1) for m in flipped))
-    ones = [b for b in range(t) if (ref_quarter >> b) & 1]
-    zeros = [b for b in range(t) if not (ref_quarter >> b) & 1]
-    out = []
-    for sel_on in combinations(ones, on_ones):
-        base = sum(1 << b for b in sel_on)
-        for sel_off in combinations(zeros, weight - on_ones):
-            out.append(base + sum(1 << b for b in sel_off))
-    return tuple(sorted(out))
+    masks = weight_masks(t, weight)
+    ref = np.uint64(ref_quarter)
+    overlap = masks & ref if in_ones else ~masks & ~ref & np.uint64((1 << t) - 1)
+    return tuple(masks[np.bitwise_count(overlap) == on_ones].tolist())
 
 
 def generator_set(v: VertexCode, ordered_alphas: Sequence[int], s: int) -> GeneratorSet:
@@ -439,7 +437,7 @@ def adjacency(v: VertexCode) -> np.ndarray:
     Requires 4t <= 64.
     """
     t = v.t
-    if 4 * t > 64:
+    if t > MAX_T:
         raise RangeError(f"adjacency materialization needs 4t <= 64 bits, got t={t}")
     base = complement(v) if v.k > t // 2 else v  # same neighbor set
     mask = np.uint64(full_mask(t))
@@ -553,6 +551,37 @@ class NeighborPool:
         return (np.repeat(self.left, per_left) << np.uint64(2 * self.t)) | self.right[order[idx]]
 
 
+# Peak bytes of a search per half and side: the table and its group ids, the
+# pool being refined, the refined pool and refine's temporaries (at most 82 B,
+# traced), plus what the allocator keeps across a GA's refines (peak RSS 130 B
+# at t = 12). BASE_BYTES is the interpreter and numpy (29 MB).
+HALF_BYTES = 160
+BASE_BYTES = 32 << 20
+
+
+def _physical_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def pool_bytes(t: int) -> int:
+    """Estimated peak bytes of a search on vertex_pool(t), if the machine holds it.
+
+    The estimate is BASE_BYTES plus HALF_BYTES for each of the 2 * C(2t, t)
+    halves. Raises PoolTooLarge when t is outside 1..MAX_T or the estimate
+    exceeds the machine's physical memory, before anything is allocated.
+    """
+    if not 1 <= t <= MAX_T:
+        raise PoolTooLarge(f"t must be in 1..{MAX_T} (4t <= 64 bits), got {t}")
+    need = BASE_BYTES + 2 * math.comb(2 * t, t) * HALF_BYTES
+    have = _physical_bytes()
+    if need > have:
+        raise PoolTooLarge(
+            f"t={t} needs about {need >> 20} MB for the neighbor pool, "
+            f"more than the {have >> 20} MB of physical memory"
+        )
+    return need
+
+
 @lru_cache(maxsize=None)
 def vertex_pool(t: int) -> NeighborPool:
     """Every vertex of G_t as a pool; refine it by each member of a clique.
@@ -561,10 +590,9 @@ def vertex_pool(t: int) -> NeighborPool:
     group is the weight of its top t bits (quarter 1), a right half's the
     weight of its low t bits (quarter 4): equal groups give quarter weights
     (k, t-k, t-k, k).  Shared by every caller, so its arrays are read-only.
-    Requires 4t <= 64.
+    pool_bytes(t) is checked first.
     """
-    if not 1 <= t <= 16:
-        raise RangeError(f"the neighbor pool needs 1 <= t and 4t <= 64 bits, got t={t}")
+    pool_bytes(t)
     halves = weight_masks(2 * t, t)
     left_group = np.bitwise_count(halves >> np.uint64(t)).astype(np.intp)
     right_group = np.bitwise_count(halves & np.uint64((1 << t) - 1)).astype(np.intp)

@@ -23,7 +23,6 @@ __all__ = [
     "Report",
     "enumerate_vertices",
     "vertex_codes",
-    "brute_adjacency",
     "brute_adjacency_codes",
     "verify_clique",
     "clique_to_matrix",
@@ -110,10 +109,6 @@ def brute_adjacency_codes(v: VertexCode, force: bool = False) -> np.ndarray:
         )
     codes = vertex_codes(v.t, force)
     return codes[np.bitwise_count(codes ^ np.uint64(v.code)) == 2 * v.t]
-
-
-def brute_adjacency(v: VertexCode, force: bool = False) -> list[VertexCode]:
-    return [decode(int(c), v.t) for c in brute_adjacency_codes(v, force)]
 
 
 def verify_clique(c: Clique) -> Report:

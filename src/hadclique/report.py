@@ -36,7 +36,7 @@ class EssayResult:
     index: int
     clique: Clique
     seconds: float
-    overflow: bool = False
+    overflow: bool = False  # never set; kept while perfbench's gate reads it
     generations: tuple[int, ...] = ()
 
     @property

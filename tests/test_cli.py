@@ -58,7 +58,8 @@ def test_stats_t7_big_ints(capsys):
 
 
 def test_stats_range_guard(capsys):
-    assert main(["stats", "--t", "9"]) == EX_USAGE
+    assert main(["stats", "--t", "17"]) == EX_USAGE
+    assert main(["stats", "--t", "16"]) == EX_OK
     assert main(["stats", "--t", "0"]) == EX_USAGE
 
 
@@ -68,12 +69,25 @@ def test_usage_errors_exit_64(capsys):
     assert main(["nonesuch"]) == EX_USAGE
     assert main(["search", "ga", "--t", "2", "--pb", "0.1"]) == EX_USAGE
     assert main(["search", "fast", "--t", "17"]) == EX_USAGE
+    assert main(["search", "exact", "--t", "17"]) == EX_USAGE
+    assert main(["search", "ga", "--t", "17"]) == EX_USAGE
     assert main(["search", "exact", "--t", "3", "--jobs", "0"]) == EX_USAGE
     assert main(["search", "exact", "--t", "3", "--jobs", "-2"]) == EX_USAGE
     with open("big.clq", "w") as fh:
         fh.write("17\n")
     assert main(["extend", "big.clq", "--algorithm", "fast"]) == EX_USAGE
     assert "t must be in 1..16, got 17" in capsys.readouterr().err
+    assert main(["extend", "big.clq", "--algorithm", "exact"]) == EX_USAGE
+    assert "t must be in 1..16 (4t <= 64 bits), got 17" in capsys.readouterr().err
+
+
+def test_bad_code_in_a_clique_file_is_not_a_usage_error(capsys):
+    # decode's RangeError stays a bad input, apart from the t refusals above
+    with open("bad.clq", "w") as fh:
+        fh.write("2\n256\n")
+    assert main(["extend", "bad.clq"]) == EX_VERIFY
+    assert main(["search", "fast", "--t", "2", "--seed-file", "bad.clq"]) == EX_VERIFY
+    assert "does not fit in 8 bits" in capsys.readouterr().err
 
 
 def test_search_exact_writes_report(tmp_path, capsys):

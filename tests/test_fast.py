@@ -19,10 +19,9 @@ from hadclique import (
     feasible_targets,
     orthogonal_codes,
     run_fast,
-    run_fast_many,
     verify_clique,
 )
-from hadclique.fast import MAX_T, _inner_search
+from hadclique.fast import MAX_T, _inner_search, run_many
 
 
 def test_config_defaults_scale_with_t():
@@ -223,8 +222,8 @@ def test_run_fast_deterministic():
 def test_run_many_shapes_and_determinism():
     seed = Clique(t=3, members=())
     cfg = FastConfig(t=3, rng_seed=0, stall_limit=1, attempts_per_vector=2)
-    serial = run_fast_many(seed, cfg, essays=3)
-    threaded = run_fast_many(seed, cfg, essays=3, jobs=3)
+    serial = run_many(seed, cfg, essays=3)
+    threaded = run_many(seed, cfg, essays=3, jobs=3)
     assert [e.clique.codes for e in serial.essays] == [
         e.clique.codes for e in threaded.essays
     ]

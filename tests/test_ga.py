@@ -16,9 +16,9 @@ from hadclique import (
     random_vertex,
     repair,
     run_ga,
-    run_ga_many,
     verify_clique,
 )
+from hadclique.ga import run_many
 
 
 def test_config_validation():
@@ -131,8 +131,8 @@ def test_zero_generation_run():
 
 def test_run_many_is_job_invariant():
     cfg = GaConfig(t=2, rng_seed=3, max_generations=5)
-    serial = run_ga_many(cfg, essays=4)
-    threaded = run_ga_many(cfg, essays=4, jobs=2)
+    serial = run_many(cfg, essays=4)
+    threaded = run_many(cfg, essays=4, jobs=2)
     assert [e.clique.codes for e in serial.essays] == [
         e.clique.codes for e in threaded.essays
     ]

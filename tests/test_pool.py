@@ -6,6 +6,7 @@ The kernel must hold the same set, count it exactly and rank it in the same
 ascending order.
 """
 
+import tracemalloc
 from itertools import combinations
 from random import Random
 
@@ -14,8 +15,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from hadclique import RangeError, adjacency, brute_adjacency_codes, random_vertex, vertex_codes
-from hadclique.graph import vertex_pool, weight_masks
+from hadclique import (
+    Clique,
+    ExactSearchConfig,
+    GaConfig,
+    PoolTooLarge,
+    RangeError,
+    adjacency,
+    brute_adjacency_codes,
+    extend_exact,
+    random_vertex,
+    vertex_codes,
+)
+from hadclique import graph
+from hadclique.graph import pool_bytes, vertex_pool, weight_masks
 
 FULL_RANKS = 400  # pools up to this size are checked at every rank
 SAMPLED_RANKS = 100
@@ -111,3 +124,27 @@ def test_code_at_rejects_out_of_range_ranks():
 def test_vertex_pool_needs_64_bit_codes():
     with pytest.raises(RangeError):
         vertex_pool(17)
+
+
+def test_over_budget_t_is_refused_before_allocating(monkeypatch):
+    monkeypatch.setattr(graph, "_physical_bytes", lambda: 1 << 62)
+    need = pool_bytes(13)
+    monkeypatch.setattr(graph, "_physical_bytes", lambda: need)
+    assert pool_bytes(13) == need
+    monkeypatch.setattr(graph, "_physical_bytes", lambda: need - 1)
+    refused = [
+        lambda: vertex_pool(13),
+        lambda: ExactSearchConfig(t=13),
+        lambda: GaConfig(t=13),
+        lambda: extend_exact(Clique(t=13, members=()), Random(0)),
+    ]
+    tracemalloc.start()
+    try:
+        for build in refused:
+            with pytest.raises(PoolTooLarge, match="physical memory"):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # vertex_pool(13) alone would hold 10.4M halves: 83 MB of words
+    assert peak < 1 << 20
