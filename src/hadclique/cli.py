@@ -9,12 +9,18 @@ overrides --rng-seed everywhere.
 from __future__ import annotations
 
 import argparse
+import json
 import os
+import platform
+import resource
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
 from random import Random
+
+import numpy as np
 
 from . import exact, fast, ga, graph, seeds
 from .errors import HadcliqueError, NoDecomposition
@@ -105,6 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("suite", choices=("census", "exact", "ga", "fast"))
     sp.add_argument("--reps", type=int, default=3)
     sp.add_argument("--t", type=int, default=None, help="bench a single t")
+    sp.add_argument("--json", type=Path, default=None,
+                    help="also write the machine, git SHA and per-t results as JSON")
 
     return p
 
@@ -269,9 +277,30 @@ def _bench_row(t: int, secs: list[float], ref: float | None) -> None:
     print(f"t={t:>2}  median {med:>8.3f}s over {len(secs)} reps{note}")
 
 
+def _git_sha() -> str:
+    try:
+        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=Path(__file__).parent,
+                             capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
+
+
+def _machine() -> dict[str, object]:
+    return {
+        "cpus": os.cpu_count(),
+        "ram_gb": round(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 1e9, 1),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "git": _git_sha(),
+    }
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     reps = max(1, args.reps)
     if args.suite == "census":
+        if args.json:
+            raise _Usage("--json applies to the exact, ga and fast suites")
         print("census suite: per-k counts, degrees, totals for t = 1..7")
         ok = True
         for t, (nv, ne) in KNOWN_CENSUS.items():
@@ -284,18 +313,36 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return EX_OK if ok else EX_VERIFY
     ts = [args.t] if args.t else {"exact": [2, 3, 4, 5], "ga": [2, 3, 4, 5], "fast": [3, 4, 5]}[args.suite]
     print(f"{args.suite} suite, {reps} reps; reference times are informational only")
+    rows = []
     for t in ts:
         secs: list[float] = []
+        sizes: list[int] = []
         for r in range(reps):
             begin = time.perf_counter()
             if args.suite == "exact":
-                exact.run_exact(exact.ExactSearchConfig(t=t, essays=1, rng_seed=r))
+                best = exact.run_exact(exact.ExactSearchConfig(t=t, essays=1, rng_seed=r)).best
             elif args.suite == "ga":
-                ga.run_ga(ga.GaConfig(t=t, rng_seed=r))
+                best = ga.run_ga(ga.GaConfig(t=t, rng_seed=r)).best
             else:
-                fast.run_fast(Clique(t=t, members=()), fast.FastConfig(t=t, rng_seed=r))
+                best = fast.run_fast(Clique(t=t, members=()), fast.FastConfig(t=t, rng_seed=r))
             secs.append(time.perf_counter() - begin)
+            sizes.append(len(best))
         _bench_row(t, secs, REFERENCE_SECONDS[args.suite].get(t))
+        rows.append({
+            "t": t,
+            "reps": reps,
+            "seconds": secs,
+            "median_s": statistics.median(secs),
+            "sizes": sizes,
+            "bound": 4 * t - 3,
+            # ru_maxrss is in KiB on Linux; the process peak so far, so it
+            # belongs to this t only when the suite runs one t
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        })
+    if args.json:
+        doc = {"suite": args.suite, "machine": _machine(), "results": rows}
+        args.json.write_text(json.dumps(doc, indent=2) + "\n")
+        print(f"bench results written: {args.json}")
     return EX_OK
 
 

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 from typing import Sequence
 
 from .errors import InvalidClique
 from .graph import (
     Clique,
+    MaterializedPool,
     NeighborPool,
     VertexCode,
     clique_from_codes,
@@ -47,17 +49,20 @@ class ExactSearchConfig:
             raise ValueError("start_vertex belongs to a different G_t")
 
 
-def _random_start(t: int, rng: Random) -> VertexCode:
+@lru_cache(maxsize=None)
+def _start_classes(t: int) -> tuple[int, ...]:
     # restrict to classes that actually have neighbors; at odd t the
     # extreme classes k=0 and k=t are isolated and an essay started there
     # could never grow
-    ks = [k for k in range(t // 2 + 1) if degree(t, k) > 0]
-    if not ks:
-        ks = list(range(t // 2 + 1))
-    return random_vertex(t, rng, k=rng.choice(ks))
+    ks = tuple(k for k in range(t // 2 + 1) if degree(t, k) > 0)
+    return ks or tuple(range(t // 2 + 1))
 
 
-def adjacency(v: VertexCode) -> NeighborPool:
+def _random_start(t: int, rng: Random) -> VertexCode:
+    return random_vertex(t, rng, k=rng.choice(_start_classes(t)))
+
+
+def adjacency(v: VertexCode) -> NeighborPool | MaterializedPool:
     """The pool-construction layer: every neighbor of v, as a pool.
 
     It holds the set graph.adjacency(v) materializes, in the same ascending
@@ -66,7 +71,9 @@ def adjacency(v: VertexCode) -> NeighborPool:
     return vertex_pool(v.t).refine(v.code)
 
 
-def _filter_pool(pool: NeighborPool, code: int) -> NeighborPool:
+def _filter_pool(
+    pool: NeighborPool | MaterializedPool, code: int
+) -> NeighborPool | MaterializedPool:
     """The intersection layer: the candidates also orthogonal to code."""
     return pool.refine(code)
 

@@ -26,11 +26,15 @@ plus exact counting (degrees, edge totals) from the same binomial products.
 
 The searches do not materialize neighbor sets at all.  A code splits into a
 left half (quarters 1-2) and a right half (quarters 3-4), each a 2t-bit word
-of weight t, and a candidate is orthogonal to member u exactly when the
-agreements of its left half with u's plus those of its right half make 2t.
-NeighborPool keeps the surviving halves of each side with a group id that
-pairs them (Horowitz-Sahni split and join), so the common neighborhood of
-a clique is counted, ranked and enumerated from C(2t, t) halves per side.
+of weight t held as a uint32, and since u's halves also weigh t, a candidate
+is orthogonal to member u exactly when popcount(L & ~u_hi) equals
+popcount(R & u_lo).  NeighborPool keeps the surviving halves of each side
+with a group id that pairs them (Horowitz-Sahni split and join), so the
+common neighborhood of a clique is counted, ranked and enumerated from
+C(2t, t) halves per side.  Ids are stored pre-scaled by t + 1, so a refine
+bins each half by (group, key) with one add.  Once a refined pool holds no
+more codes than halves it continues as a MaterializedPool, its ascending
+codes filtered by one popcount per refine.
 """
 
 from __future__ import annotations
@@ -84,6 +88,7 @@ __all__ = [
     "adjacency",
     "weight_masks",
     "NeighborPool",
+    "MaterializedPool",
     "pool_bytes",
     "vertex_pool",
     "random_vertex",
@@ -460,15 +465,15 @@ def adjacency(v: VertexCode) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def weight_masks(n: int, weight: int) -> np.ndarray:
+def weight_masks(n: int, weight: int, dtype: type = np.uint64) -> np.ndarray:
     """Every n-bit mask with the given number of one-bits, ascending; read-only."""
     # rows[w] holds the ascending m-bit masks of weight w, for each w that
     # the bits still to come can lift to weight.  Adding bit m puts the masks
     # with it, all at least 1 << m, after those without it.
-    empty = np.empty(0, dtype=np.uint64)
-    rows = {0: np.zeros(1, dtype=np.uint64)}
+    empty = np.empty(0, dtype=dtype)
+    rows = {0: np.zeros(1, dtype=dtype)}
     for m in range(n):
-        top = np.uint64(1 << m)
+        top = dtype(1 << m)
         rows = {
             w: np.concatenate((rows.get(w, empty), rows.get(w - 1, empty) | top))
             for w in range(max(0, weight - (n - 1 - m)), weight + 1)
@@ -478,85 +483,150 @@ def weight_masks(n: int, weight: int) -> np.ndarray:
     return masks
 
 
+def _join(half: int, left: np.ndarray, left_id: np.ndarray, right: np.ndarray,
+          right_id: np.ndarray) -> np.ndarray:
+    """The codes left[i] << half | right[j] with left_id[i] == right_id[j], ascending.
+
+    left must be ascending, and every left id must occur among the right ids.
+    """
+    counts = np.bincount(right_id)
+    # sorting (id, half) keys lays the right halves out id by id, each run
+    # ascending, so the run of id g starts at the number of smaller ids
+    keys = np.sort((right_id.astype(np.uint64) << np.uint64(32)) | right)
+    per_left = counts.take(left_id)
+    first = (np.cumsum(counts) - counts).take(left_id)
+    ends = np.cumsum(per_left)
+    # position j of left half i's run reads keys[first[i] + j]
+    idx = np.repeat(first - ends + per_left, per_left) + np.arange(ends[-1] if ends.size else 0)
+    partners = keys[idx] & np.uint64(0xFFFFFFFF)
+    return (np.repeat(left.astype(np.uint64), per_left) << np.uint64(half)) | partners
+
+
+def _partnered(halves: np.ndarray, ids: np.ndarray, both: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The halves whose bin has a partner on the other side, with their ids."""
+    keep = both[ids]
+    if keep.all():
+        return halves, ids
+    kept = np.flatnonzero(keep)
+    return halves.take(kept), ids.take(kept)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class MaterializedPool:
+    """A small pool held as its ascending uint64 codes.
+
+    NeighborPool.refine returns one once the refined pool holds no more
+    codes than halves; from there a refine is one popcount filter over the
+    codes, and a rank indexes them directly.
+    """
+
+    t: int
+    array: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.array.size
+
+    def refine(self, code: int) -> MaterializedPool:
+        """The sub-pool of codes also orthogonal to ``code``."""
+        keep = np.bitwise_count(self.array ^ np.uint64(code)) == 2 * self.t
+        return MaterializedPool(t=self.t, array=self.array[keep])
+
+    def code_at(self, r: int) -> int:
+        """The rank-r code of the pool in ascending order."""
+        if not 0 <= r < self.size:
+            raise IndexError(f"rank {r} outside a pool of {self.size}")
+        return int(self.array[r])
+
+    def codes(self) -> np.ndarray:
+        """A copy of the pool as an ascending uint64 code array."""
+        return self.array.copy()
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class NeighborPool:
     """The vertices of G_t adjacent to every member of a clique, as halves.
 
     A code is ``left << 2t | right``.  ``left`` and ``right`` hold the
-    surviving halves of each side in ascending order; a left and a right
-    half form a pool vertex exactly when their group ids are equal, so the
-    pool is the disjoint union over groups of left x right.  Ascending
-    left-then-right order is ascending code order, which makes ranks agree
-    with a sorted materialized pool.
+    surviving halves of each side as ascending uint32 words; a left and a
+    right half form a pool vertex exactly when their group ids are equal,
+    so the pool is the disjoint union over groups of left x right.
+    Ascending left-then-right order is ascending code order, which makes
+    ranks agree with a sorted materialized pool.  Ids are pre-scaled:
+    group g has id g * (t + 1), so a refine's (group, key) bin is one add.
+    ``right_count[g]`` is the number of right halves in group g.
     """
 
     t: int
     left: np.ndarray
-    left_group: np.ndarray
+    left_id: np.ndarray
     right: np.ndarray
-    right_group: np.ndarray
-    groups: int
+    right_id: np.ndarray
+    right_count: np.ndarray
     size: int
 
-    def refine(self, code: int) -> NeighborPool:
+    def refine(self, code: int) -> NeighborPool | MaterializedPool:
         """The sub-pool of vertices also orthogonal to ``code``.
 
-        A vertex agrees with u in 4t - popcount(L ^ u_hi) - popcount(R ^ u_lo)
-        positions, so it is orthogonal when popcount(L ^ u_hi) equals
-        2t - popcount(R ^ u_lo).  Each side is keyed by its term, (group,
-        key) pairs are renumbered jointly, and halves left without a
-        partner are dropped.
+        Each half weighs t, and so does each of u's halves, so a vertex
+        agrees with u in 2 * (t - popcount(L & ~u_hi) + popcount(R & u_lo))
+        positions: it is orthogonal exactly when popcount(L & ~u_hi) equals
+        popcount(R & u_lo).  Each side's key, 0..t, is added to its group
+        id, the (group, key) bins of both sides are renumbered jointly, and
+        halves left without a partner are dropped.  Once the refined pool
+        holds no more codes than halves it is returned materialized.
         """
         half = 2 * self.t
-        width = half + 1
-        hi, lo = np.uint64(code >> half), np.uint64(code & ((1 << half) - 1))
-        lkey = np.bitwise_count(self.left ^ hi).astype(np.intp)
-        rkey = half - np.bitwise_count(self.right ^ lo).astype(np.intp)
-        lid = self.left_group * width + lkey
-        rid = self.right_group * width + rkey
-        nl = np.bincount(lid, minlength=self.groups * width)
-        nr = np.bincount(rid, minlength=self.groups * width)
-        both = (nl > 0) & (nr > 0)
-        renumber = np.cumsum(both) - 1
-        keep_l, keep_r = both[lid], both[rid]
+        width = self.t + 1
+        mask = (1 << half) - 1
+        lid = self.left_id + np.bitwise_count(self.left & np.uint32(~(code >> half) & mask))
+        rid = self.right_id + np.bitwise_count(self.right & np.uint32(code & mask))
+        bins = self.right_count.size * width
+        nl = np.bincount(lid, minlength=bins)
+        nr = np.bincount(rid, minlength=bins)
+        size = int(nl @ nr)
+        both = np.logical_and(nl, nr)
+        left, lid = _partnered(self.left, lid, both)
+        right, rid = _partnered(self.right, rid, both)
+        if size <= left.size + right.size:
+            return MaterializedPool(t=self.t, array=_join(half, left, lid, right, rid))
+        kept = np.flatnonzero(both)
+        # nl is spent: reuse it as the bin -> new id table, read at kept bins only
+        renumber = nl
+        renumber[kept] = np.arange(0, kept.size * width, width)
         return NeighborPool(
             t=self.t,
-            left=self.left[keep_l],
-            left_group=renumber[lid[keep_l]],
-            right=self.right[keep_r],
-            right_group=renumber[rid[keep_r]],
-            groups=int(both.sum()),
-            size=int(nl @ nr),
+            left=left,
+            left_id=renumber.take(lid),
+            right=right,
+            right_id=renumber.take(rid),
+            right_count=nr.take(kept),
+            size=size,
         )
 
     def code_at(self, r: int) -> int:
         """The rank-r code of the pool in ascending order."""
         if not 0 <= r < self.size:
             raise IndexError(f"rank {r} outside a pool of {self.size}")
-        per_left = np.bincount(self.right_group, minlength=self.groups)[self.left_group]
+        per_left = self.right_count[self.left_id // (self.t + 1)]
         ends = np.cumsum(per_left)
         i = int(np.searchsorted(ends, r, side="right"))
-        partners = self.right[self.right_group == self.left_group[i]]
+        partners = self.right[self.right_id == self.left_id[i]]
         return (int(self.left[i]) << (2 * self.t)) | int(partners[r - int(ends[i] - per_left[i])])
 
     def codes(self) -> np.ndarray:
         """Materialize the pool as an ascending uint64 code array."""
-        order = np.argsort(self.right_group, kind="stable")
-        counts = np.bincount(self.right_group, minlength=self.groups)
-        per_left = counts[self.left_group]
-        first = (np.cumsum(counts) - counts)[self.left_group]
-        # position j of left half i's run reads right[order[first[i] + j]]
-        run_start = np.cumsum(per_left) - per_left
-        idx = np.repeat(first - run_start, per_left) + np.arange(self.size)
-        return (np.repeat(self.left, per_left) << np.uint64(2 * self.t)) | self.right[order[idx]]
+        return _join(2 * self.t, self.left, self.left_id, self.right, self.right_id)
 
 
-# Peak bytes of a search per half and side: the table and its group ids, the
-# pool being refined, the refined pool and refine's temporaries (at most 82 B,
-# traced), plus what the allocator keeps across a GA's refines (peak RSS 130 B
-# at t = 12). BASE_BYTES is the interpreter and numpy (29 MB).
-HALF_BYTES = 160
-BASE_BYTES = 32 << 20
+# Peak bytes of a search per half and side.  The kernel's own arrays peak at
+# 46 B (traced, exact at t = 9..12); peak RSS less BASE_BYTES measured at
+# most 59 B, for one ga essay at t = 10 (at t = 13: 54 B ga, 40 B exact).
+# 112 B leaves room for seeds not measured, and on 8 GB it refuses t = 14
+# (9.0 GB estimated), which has not been run.  BASE_BYTES is the interpreter,
+# numpy and the hadclique CLI (35 MB).
+HALF_BYTES = 112
+BASE_BYTES = 40 << 20
 
 
 def _physical_bytes() -> int:
@@ -586,25 +656,28 @@ def pool_bytes(t: int) -> int:
 def vertex_pool(t: int) -> NeighborPool:
     """Every vertex of G_t as a pool; refine it by each member of a clique.
 
-    Both sides start as the C(2t, t) words of weight t.  A left half's
-    group is the weight of its top t bits (quarter 1), a right half's the
-    weight of its low t bits (quarter 4): equal groups give quarter weights
-    (k, t-k, t-k, k).  Shared by every caller, so its arrays are read-only.
-    pool_bytes(t) is checked first.
+    Both sides start as the C(2t, t) words of weight t, one shared uint32
+    table.  A left half's group is the weight of its top t bits (quarter
+    1), a right half's the weight of its low t bits (quarter 4): equal
+    groups give quarter weights (k, t-k, t-k, k).  Shared by every caller,
+    so its arrays are read-only.  pool_bytes(t) is checked first.
     """
     pool_bytes(t)
-    halves = weight_masks(2 * t, t)
-    left_group = np.bitwise_count(halves >> np.uint64(t)).astype(np.intp)
-    right_group = np.bitwise_count(halves & np.uint64((1 << t) - 1)).astype(np.intp)
-    left_group.flags.writeable = False
-    right_group.flags.writeable = False
+    width = t + 1
+    halves = weight_masks(2 * t, t, np.uint32)
+    right_group = np.bitwise_count(halves & np.uint32((1 << t) - 1)).astype(np.intp)
+    left_id = np.bitwise_count(halves >> np.uint32(t)).astype(np.intp) * width
+    right_id = right_group * width
+    right_count = np.bincount(right_group, minlength=width)
+    for arr in (left_id, right_id, right_count):
+        arr.flags.writeable = False
     return NeighborPool(
         t=t,
         left=halves,
-        left_group=left_group,
+        left_id=left_id,
         right=halves,
-        right_group=right_group,
-        groups=t + 1,
+        right_id=right_id,
+        right_count=right_count,
         size=vertex_count(t),
     )
 

@@ -1,3 +1,4 @@
+import json
 import os
 
 import hypothesis.strategies as st
@@ -295,6 +296,19 @@ def test_bench_exact_single_t(capsys):
     out = capsys.readouterr().out
     assert "median" in out
     assert "2003-era" in out
+
+
+def test_bench_json(tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    assert main(["bench", "exact", "--t", "3", "--reps", "1", "--json", str(out)]) == EX_OK
+    doc = json.loads(out.read_text())
+    assert doc["suite"] == "exact"
+    assert set(doc["machine"]) >= {"cpus", "ram_gb", "python", "numpy", "git"}
+    (row,) = doc["results"]
+    assert row["t"] == 3 and row["reps"] == 1 and row["bound"] == 9
+    assert len(row["seconds"]) == 1 and row["median_s"] == row["seconds"][0]
+    assert row["sizes"] == [9]
+    assert main(["bench", "census", "--json", str(out)]) == EX_USAGE
 
 
 def test_help_exits_zero(capsys):

@@ -13,8 +13,10 @@ from hadclique import (
     brute_adjacency_codes,
     clique_from_codes,
     decode,
+    degree,
     extend_exact,
     paley_seed,
+    random_vertex,
     run_exact,
     verify_clique,
 )
@@ -116,6 +118,23 @@ def test_extend_exact_grows_the_t10_paley_seed():
     assert verify_clique(out)
 
 
+def _recomputed_start(t: int, rng: Random):
+    """_random_start as it was: the class list recomputed on every call."""
+    ks = [k for k in range(t // 2 + 1) if degree(t, k) > 0]
+    if not ks:
+        ks = list(range(t // 2 + 1))
+    return random_vertex(t, rng, k=rng.choice(ks))
+
+
+@pytest.mark.parametrize("t", range(1, 17))
+def test_random_start_draws_as_the_recomputed_class_list(t):
+    for seed in (0, 1, 2, 99):
+        got, want = Random(seed), Random(seed)
+        for _ in range(3):
+            assert _random_start(t, got) == _recomputed_start(t, want), seed
+        assert got.random() == want.random()
+
+
 def _replay_greedy(t: int, members: list[int], rng: Random) -> list[int]:
     """The greedy loop over a materialized pool: graph.adjacency, then popcount filters."""
     pool = adjacency(decode(members[0], t))
@@ -128,15 +147,20 @@ def _replay_greedy(t: int, members: list[int], rng: Random) -> list[int]:
     return members
 
 
-@pytest.mark.parametrize("t", range(2, 8))
-def test_run_exact_replays_the_materialized_search(t):
-    for seed in (0, 7, 31):
+# t = 8 crosses the kernel's switch to a materialized tail within each essay
+@pytest.mark.parametrize(
+    "t, seeds, essays",
+    [(t, (0, 7, 31), 4) for t in range(2, 8)] + [(8, (0,), 2)],
+    ids=[str(t) for t in range(2, 9)],
+)
+def test_run_exact_replays_the_materialized_search(t, seeds, essays):
+    for seed in seeds:
         want = []
-        for i in range(4):
+        for i in range(essays):
             rng = Random(seed + i)
             want.append(_replay_greedy(t, [_random_start(t, rng).code], rng))
         for jobs in (1, 2):
-            rep = run_exact(ExactSearchConfig(t=t, essays=4, rng_seed=seed), jobs=jobs)
+            rep = run_exact(ExactSearchConfig(t=t, essays=essays, rng_seed=seed), jobs=jobs)
             assert [e.clique.codes for e in rep.essays] == want, (seed, jobs)
 
 

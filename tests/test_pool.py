@@ -28,7 +28,7 @@ from hadclique import (
     vertex_codes,
 )
 from hadclique import graph
-from hadclique.graph import pool_bytes, vertex_pool, weight_masks
+from hadclique.graph import MaterializedPool, NeighborPool, pool_bytes, vertex_pool, weight_masks
 
 FULL_RANKS = 400  # pools up to this size are checked at every rank
 SAMPLED_RANKS = 100
@@ -67,6 +67,27 @@ def test_pool_matches_materialized_adjacency(t):
             pick = int(pool[rng.randrange(pool.size)])
             pool = _filter(pool, pick, t)
             kernel = kernel.refine(pick)
+
+
+def test_pool_follows_two_cliques_into_the_tail():
+    # at t = 8 a refine turns the halves into a MaterializedPool part way
+    # through a clique; both forms must hold the reference set at every step
+    t = 8
+    rng = Random(8)
+    for k in (1, 4):
+        v = random_vertex(t, rng, k=k)
+        pool = adjacency(v)
+        kernel = vertex_pool(t).refine(v.code)
+        kinds = []
+        while True:
+            kinds.append(type(kernel))
+            _check_same(kernel, pool, rng)
+            if not pool.size:
+                break
+            pick = int(pool[rng.randrange(pool.size)])
+            pool = _filter(pool, pick, t)
+            kernel = kernel.refine(pick)
+        assert kinds[0] is NeighborPool and kinds[-1] is MaterializedPool, kinds
 
 
 @given(
@@ -108,7 +129,8 @@ def test_weight_masks_match_combinations():
 
 def test_shared_tables_are_read_only():
     whole = vertex_pool(3)
-    for arr in (weight_masks(6, 3), whole.left, whole.left_group, whole.right, whole.right_group):
+    tables = (whole.left, whole.left_id, whole.right, whole.right_id, whole.right_count)
+    for arr in (weight_masks(6, 3), weight_masks(6, 3, np.uint32), *tables):
         assert not arr.flags.writeable
     assert vertex_pool(3) is whole
 
