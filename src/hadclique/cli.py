@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import platform
-import resource
 import statistics
 import subprocess
 import sys
@@ -297,6 +296,8 @@ def _machine() -> dict[str, object]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    import resource  # Unix only; the other subcommands do not need it
+
     reps = max(1, args.reps)
     if args.suite == "census":
         if args.json:
