@@ -10,6 +10,7 @@ produce byte-identical non-comment bodies.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterator
 
 from .errors import HadcliqueError
 from .graph import Clique, clique_from_codes
@@ -59,41 +60,51 @@ def write_clique(path: str | Path, c: Clique) -> None:
     Path(path).write_text(format_clique_text(c))
 
 
-def format_report(rep: SearchReport) -> str:
-    """Stable key/value rendering; timing-dependent data goes to comments."""
+def _check_best(rep: SearchReport) -> None:
     rep_ok = verify_clique(rep.best)
     if not rep_ok:
         raise HadcliqueError(f"refusing to serialize report with invalid best clique: {rep_ok.message}")
-    out: list[str] = []
-    out.append("# hadclique search report")
-    out.append(f"# started: {rep.started}")
-    out.append(f"# finished: {rep.finished}")
-    out.append(f"algorithm: {rep.algorithm}")
-    out.append(f"t: {rep.t}")
+
+
+def _report_lines(rep: SearchReport) -> Iterator[str]:
+    """The report's lines, without newlines; rep.best is not checked."""
+    yield "# hadclique search report"
+    yield f"# started: {rep.started}"
+    yield f"# finished: {rep.finished}"
+    yield f"algorithm: {rep.algorithm}"
+    yield f"t: {rep.t}"
     for key, val in rep.config:
-        out.append(f"config.{key}: {val}")
-    out.append(f"essays: {len(rep.essays)}")
+        yield f"config.{key}: {val}"
+    yield f"essays: {len(rep.essays)}"
     for e in rep.essays:
-        out.append(f"essay.{e.index}.size: {e.size}")
-        out.append(f"essay.{e.index}.members: {' '.join(str(c) for c in e.clique.codes)}")
+        yield f"essay.{e.index}.size: {e.size}"
+        yield f"essay.{e.index}.members: {' '.join(str(c) for c in e.clique.codes)}"
         if e.generations:
-            out.append(f"essay.{e.index}.generations: {' '.join(str(s) for s in e.generations)}")
-            out.append(f"essay.{e.index}.first_best_generation: {e.first_best_generation}")
-        out.append(f"# essay.{e.index}.seconds: {e.seconds:.3f}")
-    out.append(f"best.essay: {rep.best_essay}")
-    out.append(f"best.size: {len(rep.best)}")
-    out.append(f"best.members: {' '.join(str(c) for c in rep.best.codes)}")
-    out.append(f"best.k: {' '.join(str(v.k) for v in rep.best.members)}")
-    out.append(f"depth.rows: {rep.depth}")
-    out.append(f"depth.threshold_third: {rep.third_threshold}")
-    out.append(f"depth.threshold_half: {rep.half_threshold}")
-    out.append(f"depth.exceeds_third: {'yes' if rep.exceeds_third else 'no'}")
-    out.append(f"depth.exceeds_half: {'yes' if rep.exceeds_half else 'no'}")
-    return "\n".join(line.rstrip() for line in out) + "\n"
+            yield f"essay.{e.index}.generations: {' '.join(str(s) for s in e.generations)}"
+            yield f"essay.{e.index}.first_best_generation: {e.first_best_generation}"
+        yield f"# essay.{e.index}.seconds: {e.seconds:.3f}"
+    yield f"best.essay: {rep.best_essay}"
+    yield f"best.size: {len(rep.best)}"
+    yield f"best.members: {' '.join(str(c) for c in rep.best.codes)}"
+    yield f"best.k: {' '.join(str(v.k) for v in rep.best.members)}"
+    yield f"depth.rows: {rep.depth}"
+    yield f"depth.threshold_third: {rep.third_threshold}"
+    yield f"depth.threshold_half: {rep.half_threshold}"
+    yield f"depth.exceeds_third: {'yes' if rep.exceeds_third else 'no'}"
+    yield f"depth.exceeds_half: {'yes' if rep.exceeds_half else 'no'}"
+
+
+def format_report(rep: SearchReport) -> str:
+    """Stable key/value rendering; timing-dependent data goes to comments."""
+    _check_best(rep)
+    return "".join(f"{line.rstrip()}\n" for line in _report_lines(rep))
 
 
 def write_report(path: str | Path, rep: SearchReport) -> None:
-    Path(path).write_text(format_report(rep))
+    """Write format_report(rep) to path line by line, never holding the whole text."""
+    _check_best(rep)
+    with Path(path).open("w") as fh:
+        fh.writelines(f"{line.rstrip()}\n" for line in _report_lines(rep))
 
 
 def read_report(path: str | Path) -> dict[str, str]:

@@ -69,6 +69,7 @@ def test_report_roundtrip_and_reverification(tmp_path):
     rep = run_exact(ExactSearchConfig(t=3, essays=4, rng_seed=2))
     p = tmp_path / "run.report"
     write_report(p, rep)
+    assert p.read_text() == format_report(rep)
     data = read_report(p)
     assert data["algorithm"] == "exact"
     assert int(data["t"]) == 3
@@ -99,7 +100,7 @@ def test_report_key_order_is_stable():
     assert keys == sorted(keys, key=keys.index)  # no duplicates shuffled
 
 
-def test_report_refuses_invalid_best():
+def test_report_refuses_invalid_best(tmp_path):
     rep = run_exact(ExactSearchConfig(t=2, essays=1, rng_seed=0))
     broken = type(rep)(
         algorithm=rep.algorithm,
@@ -117,6 +118,9 @@ def test_report_refuses_invalid_best():
     )
     with pytest.raises(HadcliqueError):
         format_report(broken)
+    with pytest.raises(HadcliqueError):
+        write_report(tmp_path / "broken.report", broken)
+    assert not (tmp_path / "broken.report").exists()
 
 
 def test_report_timestamps_live_in_comments(tmp_path):
