@@ -466,7 +466,7 @@ def adjacency(v: VertexCode) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def weight_masks(n: int, weight: int, dtype: type = np.uint64) -> np.ndarray:
-    """Every n-bit mask with the given number of one-bits, ascending; read-only."""
+    """Every n-bit mask with the given number of one-bits, ascending, as dtype; read-only."""
     # rows[w] holds the ascending m-bit masks of weight w, for each w that
     # the bits still to come can lift to weight.  Adding bit m puts the masks
     # with it, all at least 1 << m, after those without it.
@@ -502,7 +502,9 @@ def _join(half: int, left: np.ndarray, left_id: np.ndarray, right: np.ndarray,
     return (np.repeat(left.astype(np.uint64), per_left) << np.uint64(half)) | partners
 
 
-def _partnered(halves: np.ndarray, ids: np.ndarray, both: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _partnered(
+    halves: np.ndarray, ids: np.ndarray, both: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The halves whose bin has a partner on the other side, with their ids."""
     keep = both[ids]
     if keep.all():
