@@ -9,7 +9,9 @@ closest to those targets is committed among the masks that keep every
 member completable. When no such mask exists the previously built quarter
 is dropped and re-targeted. Candidate vectors are drawn from the two
 heaviest balanced classes, k = floor(t/2) and floor(t/2) - 1, which carry
-almost all of the graph.
+almost all of the graph. Growth stops once the clique holds 4t - 3 members:
+a clique of order m gives an (m + 3) x 4t partial Hadamard matrix, so no
+vertex can join a clique of that size.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import accumulate
 from random import Random
 
 import numpy as np
@@ -114,6 +117,26 @@ def feasible_targets(
     return tuple(values), tuple(weights)
 
 
+@lru_cache(maxsize=None)
+def _target_table(
+    ladder: range, committed: int, remaining_after: int, total: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """feasible_targets with its weights accumulated, for rng.choices(cum_weights=).
+
+    random.choices accumulates plain weights into this same list and then
+    makes the same single random() call and bisect, so a draw from the table
+    is the draw from feasible_targets, and leaves the same rng state.
+    """
+    values, weights = feasible_targets(ladder, committed, remaining_after, total)
+    return values, tuple(accumulate(weights))
+
+
+@lru_cache(maxsize=None)
+def _allowed_bits(values: tuple[int, ...]) -> int:
+    """Coincidence values as one bitmask: bit c is set when c is allowed."""
+    return sum(1 << c for c in values)
+
+
 def _inner_search(
     t: int,
     weight: int,
@@ -135,10 +158,8 @@ def _inner_search(
     masks = weight_masks(t, weight)
     members = np.array(member_quarters, dtype=np.uint64)
     coinc = t - np.bitwise_count(masks[:, None] ^ members[None, :]).astype(np.int64)
-    allowed = np.zeros((len(feasible), t + 1), dtype=bool)
-    for j, values in enumerate(feasible):
-        allowed[j, list(values)] = True
-    (valid,) = np.nonzero(allowed[np.arange(len(feasible)), coinc].all(axis=1))
+    bits = np.array([_allowed_bits(values) for values in feasible], dtype=np.int64)
+    (valid,) = np.nonzero(((bits >> coinc) & 1).all(axis=1))
     if valid.size == 0:
         return None
     miss = np.abs(coinc[valid] - np.array(targets, dtype=np.int64)).sum(axis=1)
@@ -184,12 +205,12 @@ def buildgrapas(c: Clique, k: int, cfg: FastConfig, rng: Random) -> VertexCode |
                 sum(t - (built[b] ^ qs[b]).bit_count() for b in built) for qs in quarters
             ]
             playable = [
-                feasible_targets(ladder, com, 3 - pos, 2 * t)
+                _target_table(ladder, com, 3 - pos, 2 * t)
                 for ladder, com in zip(ladders, committed)
             ]
             mask = None
             if all(values for values, _ in playable):
-                targets = [rng.choices(values, weights)[0] for values, weights in playable]
+                targets = [rng.choices(values, cum_weights=cum)[0] for values, cum in playable]
                 mask = _inner_search(
                     t,
                     cand_weights[q],
@@ -220,8 +241,9 @@ def run_fast(seed: Clique, cfg: FastConfig) -> Clique:
     """Grow seed by repeated vector construction; the seed is kept verbatim.
 
     The two candidate classes are tried heaviest first; within a class,
-    construction repeats until cfg.stalls consecutive failures. The seed
-    must be a valid clique of the configured t.
+    construction repeats until cfg.stalls consecutive failures, or until
+    the clique holds 4t - 3 members, the most any clique of G_t can hold.
+    The seed must be a valid clique of the configured t.
     """
     if seed.t != cfg.t:
         raise InvalidSeed(f"seed is a G_{seed.t} clique but the search is configured for t={cfg.t}")
@@ -233,7 +255,7 @@ def run_fast(seed: Clique, cfg: FastConfig) -> Clique:
     members = list(seed.members)
     for k in [x for x in (t // 2, t // 2 - 1) if x >= 0]:
         stall = 0
-        while stall < cfg.stalls:
+        while stall < cfg.stalls and len(members) < 4 * t - 3:
             v = buildgrapas(Clique(t=t, members=tuple(members)), k, cfg, rng)
             if v is None:
                 stall += 1

@@ -295,7 +295,7 @@ def test_bench_exact_single_t(capsys):
     assert main(["bench", "exact", "--reps", "1", "--t", "2"]) == EX_OK
     out = capsys.readouterr().out
     assert "median" in out
-    assert "2003-era" in out
+    assert "2003-era" not in out  # the reference times go to --json only
 
 
 def test_bench_json(tmp_path, capsys):
@@ -308,6 +308,9 @@ def test_bench_json(tmp_path, capsys):
     assert row["t"] == 3 and row["reps"] == 1 and row["bound"] == 9
     assert len(row["seconds"]) == 1 and row["median_s"] == row["seconds"][0]
     assert row["sizes"] == [9]
+    assert row["reference_s"] == 0.039
+    assert main(["bench", "fast", "--t", "1", "--reps", "1", "--json", str(out)]) == EX_OK
+    assert json.loads(out.read_text())["results"][0]["reference_s"] is None
     assert main(["bench", "census", "--json", str(out)]) == EX_USAGE
 
 

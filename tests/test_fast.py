@@ -2,6 +2,7 @@ from itertools import product
 from random import Random
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -18,10 +19,14 @@ from hadclique import (
     decode,
     feasible_targets,
     orthogonal_codes,
+    paley_seed,
+    quarters_of,
     run_fast,
     verify_clique,
 )
-from hadclique.fast import MAX_T, _inner_search, run_many
+from hadclique.errors import NoDecomposition
+from hadclique.fast import MAX_T, _inner_search, _target_table, run_many
+from hadclique.graph import join_quarters, weight_masks
 
 
 def test_config_defaults_scale_with_t():
@@ -239,3 +244,149 @@ def test_outputs_stay_orthogonal_to_seed():
     for code in out.codes:
         if code != 21930:
             assert orthogonal_codes(code, 21930, 4)
+
+
+# The constructive search as it was before it stopped at 4t - 3 and tabled its
+# target draws: uncached feasible_targets, rng.choices over plain weights, a
+# (members x t+1) bool matrix of allowed coincidences, and a class loop that
+# ends only on cfg.stalls failures. run_fast must return the same cliques.
+
+
+def _reference_inner_search(t, weight, member_quarters, targets, feasible, rng):
+    masks = weight_masks(t, weight)
+    members = np.array(member_quarters, dtype=np.uint64)
+    coinc = t - np.bitwise_count(masks[:, None] ^ members[None, :]).astype(np.int64)
+    allowed = np.zeros((len(feasible), t + 1), dtype=bool)
+    for j, values in enumerate(feasible):
+        allowed[j, list(values)] = True
+    (valid,) = np.nonzero(allowed[np.arange(len(feasible)), coinc].all(axis=1))
+    if valid.size == 0:
+        return None
+    miss = np.abs(coinc[valid] - np.array(targets, dtype=np.int64)).sum(axis=1)
+    best = valid[miss == miss.min()]
+    return int(masks[best[rng.randrange(best.size)]])
+
+
+def _reference_buildgrapas(codes, k, cfg, rng):
+    t = cfg.t
+    if not 0 <= k <= t // 2:
+        return None
+    cand_weights = (k, t - k, t - k, k)
+    quarters = [quarters_of(code, t) for code in codes]
+    ladders = [coincidence_range(t, decode(code, t).k, k) for code in codes]
+    if not all(4 * lad.start <= 2 * t <= 4 * lad[-1] for lad in ladders):
+        return None
+    for _ in range(cfg.attempts_per_vector):
+        order = [0, 1, 2, 3]
+        rng.shuffle(order)
+        built = {}
+        backtracks = 0
+        pos = 0
+        while 0 <= pos < 4:
+            q = order[pos]
+            committed = [sum(t - (built[b] ^ qs[b]).bit_count() for b in built) for qs in quarters]
+            playable = [
+                feasible_targets(lad, com, 3 - pos, 2 * t) for lad, com in zip(ladders, committed)
+            ]
+            mask = None
+            if all(values for values, _ in playable):
+                targets = [rng.choices(values, weights)[0] for values, weights in playable]
+                mask = _reference_inner_search(
+                    t, cand_weights[q], [qs[q] for qs in quarters], targets,
+                    [values for values, _ in playable], rng,
+                )
+            if mask is None:
+                if pos == 0 or backtracks >= cfg.backtracks:
+                    pos = -1
+                else:
+                    backtracks += 1
+                    pos -= 1
+                    del built[order[pos]]
+                continue
+            built[q] = mask
+            pos += 1
+        if pos == 4:
+            return join_quarters((built[0], built[1], built[2], built[3]), t)
+    return None
+
+
+def _reference_run_fast(seed, cfg):
+    rng = Random(cfg.rng_seed)
+    t = cfg.t
+    codes = list(seed.codes)
+    for k in [x for x in (t // 2, t // 2 - 1) if x >= 0]:
+        stall = 0
+        while stall < cfg.stalls:
+            code = _reference_buildgrapas(codes, k, cfg, rng)
+            if code is None:
+                stall += 1
+            else:
+                codes.append(code)
+                stall = 0
+    return codes
+
+
+# default knobs up to t = 4, where every start but the empty t = 4 one reaches
+# 4t - 3; fewer attempts from t = 5 keep the slower reference loop near a second
+@pytest.mark.parametrize("t, attempts", [(2, 10), (3, 10), (4, 10), (5, 3), (6, 3), (7, 3)])
+def test_run_fast_replays_the_unbounded_untabled_search(t, attempts):
+    starts = [Clique(t=t, members=())]
+    try:
+        starts.append(paley_seed(t))
+    except NoDecomposition:
+        pass
+    for seed in starts:
+        for rng_seed in range(3):
+            cfg = FastConfig(t=t, rng_seed=rng_seed, attempts_per_vector=attempts)
+            assert list(run_fast(seed, cfg).codes) == _reference_run_fast(seed, cfg)
+
+
+@pytest.mark.parametrize(
+    "t, codes",
+    [
+        (3, [2396, 730, 881, 940, 1386, 2482, 1433, 2281, 1268]),
+        (4, [4080, 50115, 49980, 13107, 13260, 38294, 39577, 27286, 26009, 43429, 42666,
+             42581, 22181]),
+    ],
+)
+def test_run_fast_constructs_nothing_at_the_bound(monkeypatch, t, codes):
+    # a clique of 4t - 3 members gives a 4t x 4t Hadamard matrix: no vertex
+    # can join it, so not one construction is tried
+    seed = clique_from_codes(t, codes)
+    assert len(seed) == 4 * t - 3
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return buildgrapas(*args)
+
+    monkeypatch.setattr("hadclique.fast.buildgrapas", counting)
+    out = run_fast(seed, FastConfig(t=t, rng_seed=0))
+    assert calls == []
+    assert out.codes == seed.codes
+
+
+@given(
+    st.integers(min_value=1, max_value=MAX_T),
+    st.data(),
+)
+@settings(max_examples=200)
+def test_tabled_draw_is_the_weighted_draw(t, data):
+    a = data.draw(st.integers(min_value=0, max_value=t // 2))
+    s = data.draw(st.integers(min_value=0, max_value=t // 2))
+    ladder = coincidence_range(t, a, s)
+    remaining_after = data.draw(st.integers(min_value=0, max_value=3))
+    committed = data.draw(st.integers(min_value=0, max_value=2 * t))
+    values, weights = feasible_targets(ladder, committed, remaining_after, 2 * t)
+    tabled, cum = _target_table(ladder, committed, remaining_after, 2 * t)
+    assert tabled == values
+    assert isinstance(cum, tuple)
+    if not values:
+        return
+    state = Random(data.draw(st.integers(min_value=0, max_value=2**32))).getstate()
+    plain, cached = Random(), Random()
+    plain.setstate(state)
+    cached.setstate(state)
+    for _ in range(3):
+        assert cached.choices(tabled, cum_weights=cum)[0] == plain.choices(values, weights)[0]
+    assert cached.getstate() == plain.getstate()
