@@ -11,6 +11,7 @@ from hadclique import (
     FastConfig,
     HadcliqueError,
     InvalidSeed,
+    NoDecomposition,
     buildgrapas,
     brute_adjacency_codes,
     clique_from_codes,
@@ -18,15 +19,15 @@ from hadclique import (
     completions,
     decode,
     feasible_targets,
+    join_quarters,
     orthogonal_codes,
     paley_seed,
     quarters_of,
     run_fast,
     verify_clique,
 )
-from hadclique.errors import NoDecomposition
 from hadclique.fast import MAX_T, _inner_search, _target_table, run_many
-from hadclique.graph import join_quarters, weight_masks
+from hadclique.graph import weight_masks
 
 
 def test_config_defaults_scale_with_t():
