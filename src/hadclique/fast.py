@@ -7,16 +7,20 @@ still admit a completion of the remaining quarters to the orthogonality
 total 2t. Every mask of the quarter's weight is scored at once, and one
 closest to those targets is committed among the masks that keep every
 member completable. When no such mask exists the previously built quarter
-is dropped and re-targeted. Candidate vectors are drawn from the two
-heaviest balanced classes, k = floor(t/2) and floor(t/2) - 1, which carry
-almost all of the graph. Growth stops once the clique holds 4t - 3 members:
-a clique of order m gives an (m + 3) x 4t partial Hadamard matrix, so no
-vertex can join a clique of that size.
+is dropped and re-targeted. The members stay fixed while one vector is
+built, so each quarter's mask-by-member coincidences are computed once per
+construction, and each member's committed coincidence is kept as a running
+total as quarters are committed and dropped. Candidate vectors are drawn
+from the two heaviest balanced classes, k = floor(t/2) and floor(t/2) - 1,
+which carry almost all of the graph. Growth stops once the clique holds
+4t - 3 members: a clique of order m gives an (m + 3) x 4t partial Hadamard
+matrix, so no vertex can join a clique of that size.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
@@ -29,7 +33,6 @@ from .graph import (
     MAX_T,
     Clique,
     VertexCode,
-    clique_from_codes,
     coincidence_range,
     decode,
     join_quarters,
@@ -62,7 +65,8 @@ class FastConfig:
 
     def __post_init__(self) -> None:
         # graph.MAX_T (4t <= 64) also bounds _inner_search, which scores all
-        # C(16, 8) = 12870 masks of a quarter against <= 61 members at t = 16
+        # C(16, 8) = 12870 masks of a quarter against <= 61 members at t = 16,
+        # and lets a quarter mask fit uint16 and a coincidence int8
         if not 1 <= self.t <= MAX_T:
             raise ValueError(f"t must be in 1..{MAX_T}, got {self.t}")
         if self.attempts_per_vector < 1:
@@ -117,54 +121,62 @@ def feasible_targets(
     return tuple(values), tuple(weights)
 
 
-@lru_cache(maxsize=None)
-def _target_table(
-    ladder: range, committed: int, remaining_after: int, total: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """feasible_targets with its weights accumulated, for rng.choices(cum_weights=).
+# (values, cumulative weights, float total, last index, allowed-value bitmask)
+_Draw = tuple[tuple[int, ...], tuple[int, ...], float, int, int]
 
-    random.choices accumulates plain weights into this same list and then
-    makes the same single random() call and bisect, so a draw from the table
-    is the draw from feasible_targets, and leaves the same rng state.
+
+@lru_cache(maxsize=None)
+def _target_table(ladder: range, total: int) -> tuple[tuple[_Draw | None, ...], ...]:
+    """feasible_targets ready to draw, as table[remaining_after][committed].
+
+    remaining_after runs over 0..3 and committed over 0..total, the most a
+    member that can still be completed holds. An entry is None when no value
+    is playable. Otherwise it is (values, cum, cum[-1] + 0.0, len(values) - 1,
+    bits): the values, their completion counts accumulated, the float total
+    and last index that random.choices(values, cum_weights=cum) works out, and
+    the values as one bitmask, bit c set when c is allowed.
     """
-    values, weights = feasible_targets(ladder, committed, remaining_after, total)
-    return values, tuple(accumulate(weights))
+    rows = []
+    for remaining_after in range(4):
+        row: list[_Draw | None] = []
+        for committed in range(total + 1):
+            values, weights = feasible_targets(ladder, committed, remaining_after, total)
+            cum = tuple(accumulate(weights))
+            bits = sum(1 << c for c in values)
+            row.append((values, cum, cum[-1] + 0.0, len(values) - 1, bits) if values else None)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def _allowed_bits(values: tuple[int, ...]) -> int:
-    """Coincidence values as one bitmask: bit c is set when c is allowed."""
-    return sum(1 << c for c in values)
+def _coincidences(t: int, masks: np.ndarray, member_quarters: list[int]) -> np.ndarray:
+    """(masks x members) int8 matrix of t - popcount(mask ^ u), one column per member quarter u."""
+    members = np.array(member_quarters, dtype=masks.dtype)
+    return (t - np.bitwise_count(masks[:, None] ^ members[None, :])).astype(np.int8)
 
 
 def _inner_search(
-    t: int,
-    weight: int,
-    member_quarters: list[int],
-    targets: list[int],
-    feasible: list[tuple[int, ...]],
-    rng: Random,
+    coinc: np.ndarray, allowed: list[int], targets: list[int], rng: Random
 ) -> int | None:
-    """Pick a t-bit mask of the given weight for the current quarter.
+    """Pick a mask for the current quarter; returns its row of coinc.
 
-    Coincidence of the mask with member quarter u is t - popcount(mask ^ u).
-    Every mask of the weight is scored at once. A mask is valid when each
-    member's coincidence lies in its feasible values, the ones after which
-    the member's remaining quarters can still reach the orthogonality
+    coinc holds the coincidences of every mask of the quarter's weight with
+    each member's quarter (see _coincidences). A mask is valid when each
+    member's coincidence is set in its allowed bitmask, the values after
+    which the member's remaining quarters can still reach the orthogonality
     total 2t. Among the valid masks with the least total miss against the
     sampled targets, one is drawn uniformly. Returns None exactly when no
     mask is valid.
     """
-    masks = weight_masks(t, weight)
-    members = np.array(member_quarters, dtype=np.uint64)
-    coinc = t - np.bitwise_count(masks[:, None] ^ members[None, :]).astype(np.int64)
-    bits = np.array([_allowed_bits(values) for values in feasible], dtype=np.int64)
-    (valid,) = np.nonzero(((bits >> coinc) & 1).all(axis=1))
+    # bitmasks have t + 1 <= 17 bits; int32 shifts keep the temporary a
+    # quarter of an int64 one at t = 16
+    ok = np.right_shift(np.array(allowed, dtype=np.int32), coinc)
+    ok &= 1
+    (valid,) = np.nonzero(ok.all(axis=1))
     if valid.size == 0:
         return None
-    miss = np.abs(coinc[valid] - np.array(targets, dtype=np.int64)).sum(axis=1)
+    miss = np.abs(coinc[valid] - np.array(targets, dtype=np.int8)).sum(axis=1)
     best = valid[miss == miss.min()]
-    return int(masks[best[rng.randrange(best.size)]])
+    return int(best[rng.randrange(best.size)])
 
 
 def buildgrapas(c: Clique, k: int, cfg: FastConfig, rng: Random) -> VertexCode | None:
@@ -180,57 +192,67 @@ def buildgrapas(c: Clique, k: int, cfg: FastConfig, rng: Random) -> VertexCode |
     at most cfg.backtracks times per attempt, with cfg.attempts_per_vector
     attempts overall. Returns None when every attempt fails; a returned
     vertex is always orthogonal to every member.
+
+    The members do not change during a call, so each quarter's
+    (masks x members) coincidences are computed once, on first use, and
+    serve every attempt and backtrack. Each member's committed coincidence
+    is a running total: a committed quarter adds its row, a dropped one
+    takes it away. A target is drawn as random.choices(values,
+    cum_weights=cum) draws it, with one random() call and the same bisect,
+    so the rng state follows the same sequence.
     """
     t = cfg.t
     if not 0 <= k <= t // 2:
         return None
     s = k
-    cand_weights = (s, t - s, t - s, s)
     codes = [v.code for v in c.members]
     quarters = [quarters_of(code, t) for code in codes]
     ladders = [coincidence_range(t, v.k, s) for v in c.members]
     for ladder in ladders:
         if not (4 * ladder.start <= 2 * t <= 4 * ladder[-1]):
             return None
+    # draw tables by position: position pos leaves 3 - pos quarters after it
+    tables = [_target_table(ladder, 2 * t) for ladder in ladders]
+    by_pos = [[table[3 - pos] for table in tables] for pos in range(4)]
+    # t <= 16, so every quarter mask fits uint16
+    masks = [weight_masks(t, w, np.uint16) for w in (s, t - s, t - s, s)]
+    coinc: list[np.ndarray | None] = [None] * 4
+    random = rng.random
 
     for _ in range(cfg.attempts_per_vector):
         order = [0, 1, 2, 3]
         rng.shuffle(order)
-        built: dict[int, int] = {}
+        built = [0, 0, 0, 0]
+        picked: list[list[int]] = [[], [], [], []]  # per position, the mask's coincidences
+        committed = [0] * len(codes)
         backtracks = 0
         pos = 0
         while 0 <= pos < 4:
             q = order[pos]
-            committed = [
-                sum(t - (built[b] ^ qs[b]).bit_count() for b in built) for qs in quarters
-            ]
-            playable = [
-                _target_table(ladder, com, 3 - pos, 2 * t)
-                for ladder, com in zip(ladders, committed)
-            ]
-            mask = None
-            if all(values for values, _ in playable):
-                targets = [rng.choices(values, cum_weights=cum)[0] for values, cum in playable]
-                mask = _inner_search(
-                    t,
-                    cand_weights[q],
-                    [qs[q] for qs in quarters],
-                    targets,
-                    [values for values, _ in playable],
-                    rng,
-                )
-            if mask is None:
+            draws = [table[com] for table, com in zip(by_pos[pos], committed)]
+            pick = None
+            if all(draws):
+                targets = [
+                    values[bisect_right(cum, random() * total, 0, hi)]
+                    for values, cum, total, hi, _ in draws
+                ]
+                if coinc[q] is None:
+                    coinc[q] = _coincidences(t, masks[q], [qs[q] for qs in quarters])
+                pick = _inner_search(coinc[q], [d[4] for d in draws], targets, rng)
+            if pick is None:
                 if pos == 0 or backtracks >= cfg.backtracks:
                     pos = -1  # attempt failed
                 else:
                     backtracks += 1
                     pos -= 1
-                    del built[order[pos]]
+                    committed = [a - b for a, b in zip(committed, picked[pos])]
                 continue
-            built[q] = mask
+            built[q] = int(masks[q][pick])
+            picked[pos] = coinc[q][pick].tolist()
+            committed = [a + b for a, b in zip(committed, picked[pos])]
             pos += 1
         if pos == 4:
-            code = join_quarters((built[0], built[1], built[2], built[3]), t)
+            code = join_quarters(built, t)
             if not all(orthogonal_codes(code, m, t) for m in codes):
                 raise HadcliqueError(f"constructed code {code} is not orthogonal to every member")
             return decode(code, t)
@@ -262,7 +284,7 @@ def run_fast(seed: Clique, cfg: FastConfig) -> Clique:
             else:
                 members.append(v)
                 stall = 0
-    return clique_from_codes(t, [v.code for v in members])
+    return Clique(t=t, members=tuple(members))
 
 
 def run_many(

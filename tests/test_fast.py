@@ -1,3 +1,5 @@
+import tracemalloc
+from bisect import bisect_right
 from itertools import product
 from random import Random
 
@@ -26,7 +28,7 @@ from hadclique import (
     run_fast,
     verify_clique,
 )
-from hadclique.fast import MAX_T, _inner_search, _target_table, run_many
+from hadclique.fast import MAX_T, _coincidences, _inner_search, _target_table, run_many
 from hadclique.graph import weight_masks
 
 
@@ -123,7 +125,12 @@ def test_inner_search_matches_brute_force(data):
             for lad, com, c in zip(ladders, committed, coincidences(m))
         )
     ]
-    got = _inner_search(t, weight, quarters, targets, feasible, Random(data.draw(st.integers(0, 99))))
+    masks = weight_masks(t, weight, np.uint16)
+    allowed = [sum(1 << c for c in values) for values in feasible]
+    row = _inner_search(
+        _coincidences(t, masks, quarters), allowed, targets, Random(data.draw(st.integers(0, 99)))
+    )
+    got = None if row is None else int(masks[row])
     if not valid:
         assert got is None
     else:
@@ -133,10 +140,10 @@ def test_inner_search_matches_brute_force(data):
 
 def test_inner_search_draws_uniformly_among_the_closest():
     # no members: all C(4,2) = 6 masks tie, and each is drawn
-    picks = [_inner_search(4, 2, [], [], [], Random(i)) for i in range(600)]
-    masks = [m for m in range(16) if m.bit_count() == 2]
-    assert sorted(set(picks)) == masks
-    assert all(60 <= picks.count(m) <= 140 for m in masks)
+    coinc = _coincidences(4, weight_masks(4, 2, np.uint16), [])
+    picks = [_inner_search(coinc, [], [], Random(i)) for i in range(600)]
+    assert sorted(set(picks)) == list(range(6))
+    assert all(60 <= picks.count(row) <= 140 for row in range(6))
 
 
 def test_buildgrapas_on_empty_clique_always_succeeds():
@@ -247,8 +254,10 @@ def test_outputs_stay_orthogonal_to_seed():
             assert orthogonal_codes(code, 21930, 4)
 
 
-# The constructive search as it was before it stopped at 4t - 3 and tabled its
-# target draws: uncached feasible_targets, rng.choices over plain weights, a
+# The constructive search as it was before it stopped at 4t - 3, tabled its
+# target draws and kept its state across the quarter loop: uncached
+# feasible_targets, rng.choices over plain weights, committed coincidences
+# summed afresh over the built quarters, each quarter scored afresh with a
 # (members x t+1) bool matrix of allowed coincidences, and a class loop that
 # ends only on cfg.stalls failures. run_fast must return the same cliques.
 
@@ -329,7 +338,10 @@ def _reference_run_fast(seed, cfg):
 
 # default knobs up to t = 4, where every start but the empty t = 4 one reaches
 # 4t - 3; fewer attempts from t = 5 keep the slower reference loop near a second
-@pytest.mark.parametrize("t, attempts", [(2, 10), (3, 10), (4, 10), (5, 3), (6, 3), (7, 3)])
+# (t = 8, from the empty clique and from paley_seed(8): about 1.3 s)
+@pytest.mark.parametrize(
+    "t, attempts", [(2, 10), (3, 10), (4, 10), (5, 3), (6, 3), (7, 3), (8, 3)]
+)
 def test_run_fast_replays_the_unbounded_untabled_search(t, attempts):
     starts = [Clique(t=t, members=())]
     try:
@@ -373,21 +385,41 @@ def test_run_fast_constructs_nothing_at_the_bound(monkeypatch, t, codes):
 )
 @settings(max_examples=200)
 def test_tabled_draw_is_the_weighted_draw(t, data):
+    # buildgrapas draws values[bisect_right(cum, random() * total, 0, hi)] from
+    # a table entry: the line random.choices(values, cum_weights=cum) runs
     a = data.draw(st.integers(min_value=0, max_value=t // 2))
     s = data.draw(st.integers(min_value=0, max_value=t // 2))
     ladder = coincidence_range(t, a, s)
     remaining_after = data.draw(st.integers(min_value=0, max_value=3))
     committed = data.draw(st.integers(min_value=0, max_value=2 * t))
     values, weights = feasible_targets(ladder, committed, remaining_after, 2 * t)
-    tabled, cum = _target_table(ladder, committed, remaining_after, 2 * t)
+    entry = _target_table(ladder, 2 * t)[remaining_after][committed]
+    if not values:
+        assert entry is None
+        return
+    tabled, cum, total, hi, bits = entry
     assert tabled == values
     assert isinstance(cum, tuple)
-    if not values:
-        return
+    assert bits == sum(1 << c for c in values)
     state = Random(data.draw(st.integers(min_value=0, max_value=2**32))).getstate()
-    plain, cached = Random(), Random()
+    plain, inline = Random(), Random()
     plain.setstate(state)
-    cached.setstate(state)
+    inline.setstate(state)
     for _ in range(3):
-        assert cached.choices(tabled, cum_weights=cum)[0] == plain.choices(values, weights)[0]
-    assert cached.getstate() == plain.getstate()
+        drawn = tabled[bisect_right(cum, inline.random() * total, 0, hi)]
+        assert drawn == plain.choices(values, weights)[0]
+    assert inline.getstate() == plain.getstate()
+
+
+def test_one_construction_at_the_largest_t_stays_within_the_old_peak():
+    # the per-call coincidence cache holds four (12870 masks x 25 members)
+    # matrices here: as int8 the call peaks near 3.5 MB, as int64 above 10 MB,
+    # where the search that scored each quarter afresh peaked at 7.9 MB
+    seed = paley_seed(MAX_T)
+    tracemalloc.start()
+    try:
+        buildgrapas(seed, MAX_T // 2, FastConfig(t=MAX_T), Random(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7_900_000
