@@ -16,6 +16,8 @@ import statistics
 import subprocess
 import sys
 import time
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from random import Random
 
@@ -293,7 +295,8 @@ def _machine() -> dict[str, object]:
 def cmd_bench(args: argparse.Namespace) -> int:
     import resource  # Unix only; the other subcommands do not need it
 
-    reps = max(1, args.reps)
+    if args.reps < 1:
+        raise _Usage(f"bench needs --reps >= 1, got {args.reps}")
     if args.suite == "census":
         if args.json:
             raise _Usage("--json applies to the exact, ga and fast suites")
@@ -307,27 +310,36 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(f"t={t}  vertices {nv}  edges {ne}  {'ok' if good else 'MISMATCH'}  ({secs:.3f}s)")
         print("census:", "all equalities hold" if ok else "MISMATCH DETECTED")
         return EX_OK if ok else EX_VERIFY
-    ts = [args.t] if args.t else {"exact": [2, 3, 4, 5], "ga": [2, 3, 4, 5], "fast": [3, 4, 5]}[args.suite]
-    print(f"{args.suite} suite, {reps} reps")
+    ts = [args.t] if args.t is not None else {"exact": [2, 3, 4, 5], "ga": [2, 3, 4, 5], "fast": [3, 4, 5]}[args.suite]
+    # every t's config is built before any timing, so a t the suite cannot
+    # run is a usage error, as it is for search
+    make = {"exact": partial(exact.ExactSearchConfig, essays=1), "ga": ga.GaConfig,
+            "fast": fast.FastConfig}[args.suite]
+    try:
+        cfgs = [make(t=t) for t in ts]
+    except ValueError as exc:
+        raise _Usage(str(exc)) from None
+    print(f"{args.suite} suite, {args.reps} reps")
     rows = []
-    for t in ts:
+    for t, cfg in zip(ts, cfgs):
         secs: list[float] = []
         sizes: list[int] = []
-        for r in range(reps):
+        for r in range(args.reps):
+            run_cfg = replace(cfg, rng_seed=r)
             begin = time.perf_counter()
-            if args.suite == "exact":
-                best = exact.run_exact(exact.ExactSearchConfig(t=t, essays=1, rng_seed=r)).best
-            elif args.suite == "ga":
-                best = ga.run_ga(ga.GaConfig(t=t, rng_seed=r)).best
+            if isinstance(run_cfg, exact.ExactSearchConfig):
+                best = exact.run_exact(run_cfg).best
+            elif isinstance(run_cfg, ga.GaConfig):
+                best = ga.run_ga(run_cfg).best
             else:
-                best = fast.run_fast(Clique(t=t, members=()), fast.FastConfig(t=t, rng_seed=r))
+                best = fast.run_fast(Clique(t=t, members=()), run_cfg)
             secs.append(time.perf_counter() - begin)
             sizes.append(len(best))
         med = statistics.median(secs)
-        print(f"t={t:>2}  median {med:>8.3f}s over {reps} reps")
+        print(f"t={t:>2}  median {med:>8.3f}s over {args.reps} reps")
         rows.append({
             "t": t,
-            "reps": reps,
+            "reps": args.reps,
             "seconds": secs,
             "median_s": med,
             "sizes": sizes,

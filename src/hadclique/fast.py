@@ -4,13 +4,15 @@ Instead of materializing neighbor sets, this search builds one candidate
 vector at a time, quarter by quarter in random order. For every clique
 member a per-quarter coincidence target is sampled from the values that
 still admit a completion of the remaining quarters to the orthogonality
-total 2t. Every mask of the quarter's weight is scored at once, and one
-closest to those targets is committed among the masks that keep every
-member completable. When no such mask exists the previously built quarter
-is dropped and re-targeted. The members stay fixed while one vector is
-built, so each quarter's mask-by-member coincidences are computed once per
-construction, and each member's committed coincidence is kept as a running
-total as quarters are committed and dropped. Candidate vectors are drawn
+total 2t. Among the masks of the quarter's weight that keep every member
+completable, one closest to those targets is committed. When no such mask
+exists the previously built quarter is dropped and re-targeted. The
+members stay fixed while one vector is built, so each quarter's
+mask-by-member coincidences are computed once per construction, and so
+are the masks valid under each tuple of per-member playable values; a
+pick only scores those masks against its targets. Each member's committed
+coincidence is kept as a running total as quarters are committed and
+dropped. Candidate vectors are drawn
 from the two heaviest balanced classes, k = floor(t/2) and floor(t/2) - 1,
 which carry almost all of the graph. Growth stops once the clique holds
 4t - 3 members: a clique of order m gives an (m + 3) x 4t partial Hadamard
@@ -64,9 +66,11 @@ class FastConfig:
     stall_limit: int | None = None
 
     def __post_init__(self) -> None:
-        # graph.MAX_T (4t <= 64) also bounds _inner_search, which scores all
-        # C(16, 8) = 12870 masks of a quarter against <= 61 members at t = 16,
-        # and lets a quarter mask fit uint16 and a coincidence int8
+        # graph.MAX_T (4t <= 64) also bounds the per-quarter search, which
+        # tests the C(16, 8) = 12870 masks of a quarter against <= 61 members
+        # at t = 16 (_valid_rows) and scores the valid ones (_inner_search),
+        # and lets a quarter mask and a row index fit uint16 and a
+        # coincidence int8
         if not 1 <= self.t <= MAX_T:
             raise ValueError(f"t must be in 1..{MAX_T}, got {self.t}")
         if self.attempts_per_vector < 1:
@@ -154,29 +158,42 @@ def _coincidences(t: int, masks: np.ndarray, member_quarters: list[int]) -> np.n
     return (t - np.bitwise_count(masks[:, None] ^ members[None, :])).astype(np.int8)
 
 
-def _inner_search(
-    coinc: np.ndarray, allowed: list[int], targets: list[int], rng: Random
-) -> int | None:
-    """Pick a mask for the current quarter; returns its row of coinc.
+def _valid_rows(coinc: np.ndarray, allowed: tuple[int, ...]) -> np.ndarray:
+    """Ascending uint16 rows of coinc whose every member's coincidence is allowed.
 
-    coinc holds the coincidences of every mask of the quarter's weight with
-    each member's quarter (see _coincidences). A mask is valid when each
-    member's coincidence is set in its allowed bitmask, the values after
-    which the member's remaining quarters can still reach the orthogonality
-    total 2t. Among the valid masks with the least total miss against the
-    sampled targets, one is drawn uniformly. Returns None exactly when no
-    mask is valid.
+    coinc holds the coincidences of every mask of a quarter's weight with
+    each member's quarter (see _coincidences); allowed holds one bitmask per
+    member, bit c set when the member's remaining quarters can still reach
+    the orthogonality total 2t after a coincidence of c here. A quarter has
+    at most C(16, 8) = 12870 masks, so every row fits uint16.
     """
     # bitmasks have t + 1 <= 17 bits; int32 shifts keep the temporary a
     # quarter of an int64 one at t = 16
     ok = np.right_shift(np.array(allowed, dtype=np.int32), coinc)
     ok &= 1
-    (valid,) = np.nonzero(ok.all(axis=1))
-    if valid.size == 0:
+    return np.logical_and.reduce(ok, axis=1).nonzero()[0].astype(np.uint16)
+
+
+def _inner_search(
+    coinc: np.ndarray, rows: np.ndarray, targets: list[int], rng: Random
+) -> int | None:
+    """Pick a mask for the current quarter; returns its row of coinc.
+
+    rows are the valid rows of coinc in ascending order (see _valid_rows).
+    Among them, the rows with the least total miss against the sampled
+    targets tie, and one is drawn uniformly. A lone valid row needs no
+    scoring, but its draw still calls rng.randrange(1), which consumes
+    random bits, so the rng state follows the same sequence. Returns None
+    exactly when no row is valid.
+    """
+    if rows.size == 0:
         return None
-    miss = np.abs(coinc[valid] - np.array(targets, dtype=np.int8)).sum(axis=1)
-    best = valid[miss == miss.min()]
-    return int(best[rng.randrange(best.size)])
+    if rows.size > 1:
+        miss = coinc.take(rows, axis=0)
+        miss -= np.array(targets, dtype=np.int8)
+        miss = np.add.reduce(np.abs(miss), axis=1)
+        rows = rows[miss == np.minimum.reduce(miss)]
+    return int(rows[rng.randrange(rows.size)])
 
 
 def buildgrapas(c: Clique, k: int, cfg: FastConfig, rng: Random) -> VertexCode | None:
@@ -195,7 +212,11 @@ def buildgrapas(c: Clique, k: int, cfg: FastConfig, rng: Random) -> VertexCode |
 
     The members do not change during a call, so each quarter's
     (masks x members) coincidences are computed once, on first use, and
-    serve every attempt and backtrack. Each member's committed coincidence
+    serve every attempt and backtrack. Which masks are valid depends only
+    on the quarter and the per-member allowed bitmasks, not on the targets,
+    so a dict local to the call keeps the valid rows of each (quarter,
+    allowed tuple) met, and each pick scores only those rows against its
+    targets. Each member's committed coincidence
     is a running total: a committed quarter adds its row, a dropped one
     takes it away. A target is drawn as random.choices(values,
     cum_weights=cum) draws it, with one random() call and the same bisect,
@@ -217,6 +238,7 @@ def buildgrapas(c: Clique, k: int, cfg: FastConfig, rng: Random) -> VertexCode |
     # t <= 16, so every quarter mask fits uint16
     masks = [weight_masks(t, w, np.uint16) for w in (s, t - s, t - s, s)]
     coinc: list[np.ndarray | None] = [None] * 4
+    valid: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
     random = rng.random
 
     for _ in range(cfg.attempts_per_vector):
@@ -238,7 +260,11 @@ def buildgrapas(c: Clique, k: int, cfg: FastConfig, rng: Random) -> VertexCode |
                 ]
                 if coinc[q] is None:
                     coinc[q] = _coincidences(t, masks[q], [qs[q] for qs in quarters])
-                pick = _inner_search(coinc[q], [d[4] for d in draws], targets, rng)
+                key = (q, tuple([d[4] for d in draws]))
+                rows = valid.get(key)
+                if rows is None:
+                    rows = valid[key] = _valid_rows(coinc[q], key[1])
+                pick = _inner_search(coinc[q], rows, targets, rng)
             if pick is None:
                 if pos == 0 or backtracks >= cfg.backtracks:
                     pos = -1  # attempt failed

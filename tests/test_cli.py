@@ -314,5 +314,21 @@ def test_bench_json(tmp_path, capsys):
     assert main(["bench", "census", "--json", str(out)]) == EX_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fast", "--t", "17"],  # past graph.MAX_T
+        ["fast", "--t", "0"],  # a zero t, not the default t list
+        ["ga", "--t", "20"],  # refused by graph.pool_bytes, as search refuses it
+        ["exact", "--t", "3", "--reps", "-2"],  # not one rep
+    ],
+)
+def test_bench_rejects_bad_arguments_as_usage_errors(argv, capsys):
+    assert main(["bench", *argv]) == EX_USAGE
+    captured = capsys.readouterr()
+    assert "usage error" in captured.err
+    assert "median" not in captured.out
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == EX_OK

@@ -28,7 +28,14 @@ from hadclique import (
     run_fast,
     verify_clique,
 )
-from hadclique.fast import MAX_T, _coincidences, _inner_search, _target_table, run_many
+from hadclique.fast import (
+    MAX_T,
+    _coincidences,
+    _inner_search,
+    _target_table,
+    _valid_rows,
+    run_many,
+)
 from hadclique.graph import weight_masks
 
 
@@ -126,9 +133,10 @@ def test_inner_search_matches_brute_force(data):
         )
     ]
     masks = weight_masks(t, weight, np.uint16)
-    allowed = [sum(1 << c for c in values) for values in feasible]
+    allowed = tuple(sum(1 << c for c in values) for values in feasible)
+    coinc = _coincidences(t, masks, quarters)
     row = _inner_search(
-        _coincidences(t, masks, quarters), allowed, targets, Random(data.draw(st.integers(0, 99)))
+        coinc, _valid_rows(coinc, allowed), targets, Random(data.draw(st.integers(0, 99)))
     )
     got = None if row is None else int(masks[row])
     if not valid:
@@ -138,10 +146,37 @@ def test_inner_search_matches_brute_force(data):
         assert miss(got) == min(miss(m) for m in valid)
 
 
+@given(st.data())
+@settings(max_examples=150)
+def test_valid_rows_matches_a_brute_force_filter(data):
+    # any small coincidence matrix and any allowed bitmasks: the rows whose
+    # every entry has its member's bit set, ascending, as uint16
+    t = data.draw(st.integers(min_value=1, max_value=MAX_T))
+    n_rows = data.draw(st.integers(min_value=0, max_value=12))
+    n_members = data.draw(st.integers(min_value=0, max_value=6))
+    matrix = data.draw(
+        st.lists(
+            st.lists(st.integers(0, t), min_size=n_members, max_size=n_members),
+            min_size=n_rows,
+            max_size=n_rows,
+        )
+    )
+    allowed = tuple(
+        data.draw(st.lists(st.integers(0, 2 ** (t + 1) - 1), min_size=n_members, max_size=n_members))
+    )
+    coinc = np.array(matrix, dtype=np.int8).reshape(n_rows, n_members)
+    rows = _valid_rows(coinc, allowed)
+    assert rows.dtype == np.uint16
+    assert rows.tolist() == [
+        r for r, line in enumerate(matrix) if all(bits >> c & 1 for bits, c in zip(allowed, line))
+    ]
+
+
 def test_inner_search_draws_uniformly_among_the_closest():
     # no members: all C(4,2) = 6 masks tie, and each is drawn
     coinc = _coincidences(4, weight_masks(4, 2, np.uint16), [])
-    picks = [_inner_search(coinc, [], [], Random(i)) for i in range(600)]
+    rows = _valid_rows(coinc, ())
+    picks = [_inner_search(coinc, rows, [], Random(i)) for i in range(600)]
     assert sorted(set(picks)) == list(range(6))
     assert all(60 <= picks.count(row) <= 140 for row in range(6))
 
@@ -342,7 +377,24 @@ def _reference_run_fast(seed, cfg):
 @pytest.mark.parametrize(
     "t, attempts", [(2, 10), (3, 10), (4, 10), (5, 3), (6, 3), (7, 3), (8, 3)]
 )
-def test_run_fast_replays_the_unbounded_untabled_search(t, attempts):
+def test_run_fast_replays_the_unbounded_untabled_search(monkeypatch, t, attempts):
+    # the same cliques, and one inner search per pick: as many calls as the
+    # reference makes before its clique reaches 4t - 3, where run_fast stops
+    # (each reference call gets one quarter per member, so its length tells)
+    calls, reference_calls = [], []
+    reference = _reference_inner_search
+
+    def counting(*args):
+        calls.append(args)
+        return _inner_search(*args)
+
+    def counting_reference(t, weight, member_quarters, *rest):
+        if len(member_quarters) < 4 * t - 3:
+            reference_calls.append(member_quarters)
+        return reference(t, weight, member_quarters, *rest)
+
+    monkeypatch.setattr("hadclique.fast._inner_search", counting)
+    monkeypatch.setitem(globals(), "_reference_inner_search", counting_reference)
     starts = [Clique(t=t, members=())]
     try:
         starts.append(paley_seed(t))
@@ -351,7 +403,10 @@ def test_run_fast_replays_the_unbounded_untabled_search(t, attempts):
     for seed in starts:
         for rng_seed in range(3):
             cfg = FastConfig(t=t, rng_seed=rng_seed, attempts_per_vector=attempts)
+            calls.clear()
+            reference_calls.clear()
             assert list(run_fast(seed, cfg).codes) == _reference_run_fast(seed, cfg)
+            assert len(calls) == len(reference_calls) > 0
 
 
 @pytest.mark.parametrize(
