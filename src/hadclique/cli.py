@@ -310,7 +310,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(f"t={t}  vertices {nv}  edges {ne}  {'ok' if good else 'MISMATCH'}  ({secs:.3f}s)")
         print("census:", "all equalities hold" if ok else "MISMATCH DETECTED")
         return EX_OK if ok else EX_VERIFY
-    ts = [args.t] if args.t is not None else {"exact": [2, 3, 4, 5], "ga": [2, 3, 4, 5], "fast": [3, 4, 5]}[args.suite]
+    default_ts = {"exact": [2, 3, 4, 5], "ga": [2, 3, 4, 5], "fast": [3, 4, 5]}[args.suite]
+    ts = [args.t] if args.t is not None else default_ts
     # every t's config is built before any timing, so a t the suite cannot
     # run is a usage error, as it is for search
     make = {"exact": partial(exact.ExactSearchConfig, essays=1), "ga": ga.GaConfig,

@@ -12,11 +12,11 @@ mask-by-member coincidences are computed once per construction, and so
 are the masks valid under each tuple of per-member playable values; a
 pick only scores those masks against its targets. Each member's committed
 coincidence is kept as a running total as quarters are committed and
-dropped. Candidate vectors are drawn
-from the two heaviest balanced classes, k = floor(t/2) and floor(t/2) - 1,
-which carry almost all of the graph. Growth stops once the clique holds
-4t - 3 members: a clique of order m gives an (m + 3) x 4t partial Hadamard
-matrix, so no vertex can join a clique of that size.
+dropped. Candidate vectors are drawn from the two heaviest balanced
+classes, k = floor(t/2) and floor(t/2) - 1, which carry almost all of the
+graph. Growth stops once the clique holds 4t - 3 members: a clique of
+order m gives an (m + 3) x 4t partial Hadamard matrix, so no vertex can
+join a clique of that size.
 """
 
 from __future__ import annotations
@@ -216,11 +216,11 @@ def buildgrapas(c: Clique, k: int, cfg: FastConfig, rng: Random) -> VertexCode |
     on the quarter and the per-member allowed bitmasks, not on the targets,
     so a dict local to the call keeps the valid rows of each (quarter,
     allowed tuple) met, and each pick scores only those rows against its
-    targets. Each member's committed coincidence
-    is a running total: a committed quarter adds its row, a dropped one
-    takes it away. A target is drawn as random.choices(values,
-    cum_weights=cum) draws it, with one random() call and the same bisect,
-    so the rng state follows the same sequence.
+    targets. Each member's committed coincidence is a running total: a
+    committed quarter adds its row, a dropped one takes it away. A target
+    is drawn as random.choices(values, cum_weights=cum) draws it, with one
+    random() call and the same bisect, so the rng state follows the same
+    sequence.
     """
     t = cfg.t
     if not 0 <= k <= t // 2:
