@@ -42,7 +42,6 @@ from .graph import (
     full_mask,
     generator_set,
     join_quarters,
-    orthogonal,
     orthogonal_codes,
     quarters_of,
     random_vertex,

@@ -16,7 +16,6 @@ import statistics
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from random import Random
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import exact, fast, ga, graph, seeds
 from .errors import HadcliqueError, NoDecomposition
-from .files import format_clique_text, parse_clique_text, read_clique, write_clique, write_report
+from .files import format_clique_text, parse_clique_text, read_clique, write_report
 from .graph import Clique
 from .oracle import verify_clique, verify_ph
 from .report import SearchReport
@@ -218,14 +217,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EX_OK if rep.ok else EX_VERIFY
 
 
-def cmd_normalize(args: argparse.Namespace) -> int:
-    nm = normalize(ingest_sign_matrix(args.path.read_text()))
-    text = format_sign_matrix(nm.matrix)
-    if args.out:
-        args.out.write_text(text)
-        print(f"normalized matrix written: {args.out}")
+def _emit(text: str, out: Path | None, what: str) -> None:
+    """Write text to out and say so, or print it to stdout when out is None."""
+    if out:
+        out.write_text(text)
+        print(f"{what} written: {out}")
     else:
         sys.stdout.write(text)
+
+
+def cmd_normalize(args: argparse.Namespace) -> int:
+    nm = normalize(ingest_sign_matrix(args.path.read_text()))
+    _emit(format_sign_matrix(nm.matrix), args.out, "normalized matrix")
     return EX_OK
 
 
@@ -237,12 +240,7 @@ def cmd_paley(args: argparse.Namespace) -> int:
     except NoDecomposition as exc:
         print(f"no seed: {exc}", file=sys.stderr)
         return EX_EMPTY
-    text = format_clique_text(c)
-    if args.out:
-        args.out.write_text(text)
-        print(f"seed clique of size {len(c)} written: {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit(format_clique_text(c), args.out, f"seed clique of size {len(c)}")
     return EX_OK
 
 
@@ -264,12 +262,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
         print("warning: no extension found", file=sys.stderr)
     else:
         print(f"extended {len(c)} -> {len(grown)}")
-    text = format_clique_text(grown)
-    if args.out:
-        args.out.write_text(text)
-        print(f"clique written: {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit(format_clique_text(grown), args.out, "clique")
     return EX_OK
 
 
@@ -312,30 +305,25 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return EX_OK if ok else EX_VERIFY
     default_ts = {"exact": [2, 3, 4, 5], "ga": [2, 3, 4, 5], "fast": [3, 4, 5]}[args.suite]
     ts = [args.t] if args.t is not None else default_ts
-    # every t's config is built before any timing, so a t the suite cannot
-    # run is a usage error, as it is for search
-    make = {"exact": partial(exact.ExactSearchConfig, essays=1), "ga": ga.GaConfig,
-            "fast": fast.FastConfig}[args.suite]
+    # rep r is essay r of one run, so it draws from Random(r); every t's
+    # config is built before any run, so a t the suite cannot run is a
+    # usage error, as it is for search
     try:
-        cfgs = [make(t=t) for t in ts]
+        if args.suite == "exact":
+            runs = [partial(exact.run_exact, exact.ExactSearchConfig(t=t, essays=args.reps))
+                    for t in ts]
+        elif args.suite == "ga":
+            runs = [partial(ga.run_many, ga.GaConfig(t=t), essays=args.reps) for t in ts]
+        else:
+            runs = [partial(fast.run_many, Clique(t=t, members=()), fast.FastConfig(t=t),
+                            essays=args.reps) for t in ts]
     except ValueError as exc:
         raise _Usage(str(exc)) from None
     print(f"{args.suite} suite, {args.reps} reps")
     rows = []
-    for t, cfg in zip(ts, cfgs):
-        secs: list[float] = []
-        sizes: list[int] = []
-        for r in range(args.reps):
-            run_cfg = replace(cfg, rng_seed=r)
-            begin = time.perf_counter()
-            if isinstance(run_cfg, exact.ExactSearchConfig):
-                best = exact.run_exact(run_cfg).best
-            elif isinstance(run_cfg, ga.GaConfig):
-                best = ga.run_ga(run_cfg).best
-            else:
-                best = fast.run_fast(Clique(t=t, members=()), run_cfg)
-            secs.append(time.perf_counter() - begin)
-            sizes.append(len(best))
+    for t, run in zip(ts, runs):
+        essays = run().essays
+        secs = [e.seconds for e in essays]
         med = statistics.median(secs)
         print(f"t={t:>2}  median {med:>8.3f}s over {args.reps} reps")
         rows.append({
@@ -343,7 +331,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "reps": args.reps,
             "seconds": secs,
             "median_s": med,
-            "sizes": sizes,
+            "sizes": [e.size for e in essays],
             "bound": 4 * t - 3,
             "reference_s": REFERENCE_SECONDS[args.suite].get(t),
             # ru_maxrss is in KiB on Linux; the process peak so far, so it

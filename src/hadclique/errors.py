@@ -27,10 +27,6 @@ class RangeError(HadcliqueError):
     """Code is outside [0, 2^(4t))."""
 
 
-class MismatchedT(HadcliqueError):
-    """Operands belong to graphs with different t."""
-
-
 class KOutOfRange(HadcliqueError):
     """k is outside the admissible range for the operation."""
 
@@ -48,7 +44,7 @@ class PoolTooLarge(RangeError, ValueError):
 # --- oracle ---
 
 class TooLarge(HadcliqueError):
-    """t exceeds the brute-force resource guard (pass force=True to override)."""
+    """t exceeds the brute-force resource guard."""
 
 
 class InvalidClique(HadcliqueError):

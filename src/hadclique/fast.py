@@ -55,15 +55,17 @@ __all__ = [
 ]
 
 
+# construction attempts per new vertex; an attempt also allows t quarter
+# backtracks, and a class is left after t failed constructions in a row
+ATTEMPTS_PER_VECTOR = 10
+
+
 @dataclass(frozen=True, slots=True)
 class FastConfig:
-    """Knobs for the constructive search; None picks the t-scaled default."""
+    """The constructive search's graph and randomness."""
 
     t: int
     rng_seed: int = 0
-    attempts_per_vector: int = 10
-    quarter_backtracks: int | None = None
-    stall_limit: int | None = None
 
     def __post_init__(self) -> None:
         # graph.MAX_T (4t <= 64) also bounds the per-quarter search, which
@@ -73,20 +75,6 @@ class FastConfig:
         # coincidence int8
         if not 1 <= self.t <= MAX_T:
             raise ValueError(f"t must be in 1..{MAX_T}, got {self.t}")
-        if self.attempts_per_vector < 1:
-            raise ValueError("attempts_per_vector must be positive")
-        for name in ("quarter_backtracks", "stall_limit"):
-            val = getattr(self, name)
-            if val is not None and val < 1:
-                raise ValueError(f"{name} must be positive when given")
-
-    @property
-    def backtracks(self) -> int:
-        return self.quarter_backtracks if self.quarter_backtracks is not None else self.t
-
-    @property
-    def stalls(self) -> int:
-        return self.stall_limit if self.stall_limit is not None else self.t
 
 
 @lru_cache(maxsize=None)
@@ -206,9 +194,9 @@ def buildgrapas(c: Clique, k: int, cfg: FastConfig, rng: Random) -> VertexCode |
     mask among those that leave every member completable to the total 2t
     (which on the last quarter forces exact closure, hence orthogonality).
     When no such mask exists the previous quarter is deleted and rebuilt,
-    at most cfg.backtracks times per attempt, with cfg.attempts_per_vector
-    attempts overall. Returns None when every attempt fails; a returned
-    vertex is always orthogonal to every member.
+    at most t times per attempt, with ATTEMPTS_PER_VECTOR attempts overall.
+    Returns None when every attempt fails; a returned vertex is always
+    orthogonal to every member.
 
     The members do not change during a call, so each quarter's
     (masks x members) coincidences are computed once, on first use, and
@@ -241,7 +229,7 @@ def buildgrapas(c: Clique, k: int, cfg: FastConfig, rng: Random) -> VertexCode |
     valid: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
     random = rng.random
 
-    for _ in range(cfg.attempts_per_vector):
+    for _ in range(ATTEMPTS_PER_VECTOR):
         order = [0, 1, 2, 3]
         rng.shuffle(order)
         built = [0, 0, 0, 0]
@@ -266,7 +254,7 @@ def buildgrapas(c: Clique, k: int, cfg: FastConfig, rng: Random) -> VertexCode |
                     rows = valid[key] = _valid_rows(coinc[q], key[1])
                 pick = _inner_search(coinc[q], rows, targets, rng)
             if pick is None:
-                if pos == 0 or backtracks >= cfg.backtracks:
+                if pos == 0 or backtracks >= t:
                     pos = -1  # attempt failed
                 else:
                     backtracks += 1
@@ -289,8 +277,8 @@ def run_fast(seed: Clique, cfg: FastConfig) -> Clique:
     """Grow seed by repeated vector construction; the seed is kept verbatim.
 
     The two candidate classes are tried heaviest first; within a class,
-    construction repeats until cfg.stalls consecutive failures, or until
-    the clique holds 4t - 3 members, the most any clique of G_t can hold.
+    construction repeats until t consecutive failures, or until the clique
+    holds 4t - 3 members, the most any clique of G_t can hold.
     The seed must be a valid clique of the configured t.
     """
     if seed.t != cfg.t:
@@ -303,7 +291,7 @@ def run_fast(seed: Clique, cfg: FastConfig) -> Clique:
     members = list(seed.members)
     for k in [x for x in (t // 2, t // 2 - 1) if x >= 0]:
         stall = 0
-        while stall < cfg.stalls and len(members) < 4 * t - 3:
+        while stall < t and len(members) < 4 * t - 3:
             v = buildgrapas(Clique(t=t, members=tuple(members)), k, cfg, rng)
             if v is None:
                 stall += 1
@@ -329,9 +317,9 @@ def run_many(
     config = (
         ("rng_seed", cfg.rng_seed),
         ("essays", essays),
-        ("attempts_per_vector", cfg.attempts_per_vector),
-        ("quarter_backtracks", cfg.backtracks),
-        ("stall_limit", cfg.stalls),
+        ("attempts_per_vector", ATTEMPTS_PER_VECTOR),
+        ("quarter_backtracks", cfg.t),
+        ("stall_limit", cfg.t),
         ("seed_size", len(seed)),
     )
     return run_essays("fast", cfg.t, config, one, essays, jobs, time_limit)

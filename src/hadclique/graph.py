@@ -52,7 +52,6 @@ import numpy as np
 from .errors import (
     InfeasibleQuarter,
     KOutOfRange,
-    MismatchedT,
     PatternError,
     PoolTooLarge,
     RangeError,
@@ -68,7 +67,6 @@ __all__ = [
     "AdjacencyProfile",
     "decode",
     "clique_from_codes",
-    "orthogonal",
     "orthogonal_codes",
     "complement",
     "full_mask",
@@ -214,13 +212,6 @@ def clique_from_codes(t: int, codes: Sequence[int]) -> Clique:
 def orthogonal_codes(a: int, b: int, t: int) -> bool:
     """Orthogonality test on raw codes: the XOR has exactly 2t one-bits."""
     return (a ^ b).bit_count() == 2 * t
-
-
-def orthogonal(v: VertexCode, w: VertexCode) -> bool:
-    """True when the underlying rows are orthogonal (2t shared bits)."""
-    if v.t != w.t:
-        raise MismatchedT(f"cannot compare vertices with t={v.t} and t={w.t}")
-    return orthogonal_codes(v.code, w.code, v.t)
 
 
 def complement(v: VertexCode) -> VertexCode:

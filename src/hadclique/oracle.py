@@ -87,27 +87,23 @@ def _scan_codes(t: int) -> np.ndarray:
     return np.concatenate(found) if found else np.empty(0, dtype=np.uint64)
 
 
-def vertex_codes(t: int, force: bool = False) -> np.ndarray:
+def vertex_codes(t: int) -> np.ndarray:
     """Ascending uint64 array of every vertex code of G_t (exhaustive scan)."""
-    if t > ENUMERATE_T_MAX and not force:
-        raise TooLarge(
-            f"enumeration scans 2^{4 * t} codes; t={t} > {ENUMERATE_T_MAX} needs force=True"
-        )
+    if t > ENUMERATE_T_MAX:
+        raise TooLarge(f"enumeration scans 2^{4 * t} codes; t={t} > {ENUMERATE_T_MAX}")
     return _scan_codes(t)
 
 
-def enumerate_vertices(t: int, force: bool = False) -> list[VertexCode]:
+def enumerate_vertices(t: int) -> list[VertexCode]:
     """Every vertex of G_t, ascending, by exhaustive scan over [0, 2^4t)."""
-    return [decode(int(c), t) for c in vertex_codes(t, force)]
+    return [decode(int(c), t) for c in vertex_codes(t)]
 
 
-def brute_adjacency_codes(v: VertexCode, force: bool = False) -> np.ndarray:
+def brute_adjacency_codes(v: VertexCode) -> np.ndarray:
     """Codes of all w orthogonal to v, by popcount over the full vertex set."""
-    if v.t > ADJACENCY_T_MAX and not force:
-        raise TooLarge(
-            f"brute adjacency is quadratic in |G_t|; t={v.t} > {ADJACENCY_T_MAX} needs force=True"
-        )
-    codes = vertex_codes(v.t, force)
+    if v.t > ADJACENCY_T_MAX:
+        raise TooLarge(f"brute adjacency is quadratic in |G_t|; t={v.t} > {ADJACENCY_T_MAX}")
+    codes = vertex_codes(v.t)
     return codes[np.bitwise_count(codes ^ np.uint64(v.code)) == 2 * v.t]
 
 
@@ -115,8 +111,11 @@ def verify_clique(c: Clique) -> Report:
     """Check members decode and are pairwise distinct and orthogonal.
 
     The first violating pair (or member) is named in the report; a clique
-    of 0 or 1 valid members passes.
+    of 0 or 1 valid members passes. No clique passes when t < 1, since
+    there is no such G_t.
     """
+    if c.t < 1:
+        return Report(False, f"t must be positive, got {c.t}")
     for idx, v in enumerate(c.members):
         try:
             d = decode(v.code, c.t)

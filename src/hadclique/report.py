@@ -100,9 +100,6 @@ class SearchReport:
     def exceeds_half(self) -> bool:
         return self.depth > self.half_threshold
 
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(e.size for e in self.essays)
-
 
 def run_essays(
     algorithm: str,

@@ -18,6 +18,7 @@ from hadclique import (
     verify_clique,
     verify_ph,
 )
+from hadclique import exact, fast, ga
 from hadclique.cli import EX_EMPTY, EX_OK, EX_USAGE, EX_VERIFY, _is_sign_matrix, main
 
 from published import GREEDY_CLIQUES
@@ -195,6 +196,18 @@ def test_verify_clique_file_with_sign_characters_in_a_comment(tmp_path, capsys):
     assert "clique of size 0 in G_10" in capsys.readouterr().out
 
 
+def test_verify_fails_and_extend_refuses_a_clique_below_t_one(tmp_path, capsys):
+    # neither file holds a code, so no member's decode sees the bad t
+    p = tmp_path / "bad_t.clq"
+    for text in ("0\n", "-5\n"):
+        p.write_text(text)
+        assert main(["verify", str(p)]) == EX_VERIFY
+        assert "t must be positive" in capsys.readouterr().out
+        for algorithm in ("exact", "fast"):
+            assert main(["extend", str(p), "--algorithm", algorithm]) == EX_USAGE
+            assert "usage error" in capsys.readouterr().err
+
+
 def test_verify_sniffs_matrix_content(tmp_path, capsys):
     m = tmp_path / "mat.txt"
     m.write_text("+ + + +\n+ + - -\n+ - + -\n+ - - +\n")
@@ -312,6 +325,28 @@ def test_bench_json(tmp_path, capsys):
     assert main(["bench", "fast", "--t", "1", "--reps", "1", "--json", str(out)]) == EX_OK
     assert json.loads(out.read_text())["results"][0]["reference_s"] is None
     assert main(["bench", "census", "--json", str(out)]) == EX_USAGE
+
+
+def _one_run_size(suite, t, rng_seed):
+    if suite == "exact":
+        return len(exact.run_exact(exact.ExactSearchConfig(t=t, essays=1, rng_seed=rng_seed)).best)
+    if suite == "ga":
+        return len(ga.run_ga(ga.GaConfig(t=t, rng_seed=rng_seed)).best)
+    return len(fast.run_fast(Clique(t=t, members=()), fast.FastConfig(t=t, rng_seed=rng_seed)))
+
+
+@pytest.mark.parametrize("suite, t, reps", [("exact", 5, 5), ("fast", 5, 5), ("ga", 3, 2)])
+def test_bench_reps_are_the_runners_essays(suite, t, reps, tmp_path, capsys):
+    # rep r is essay r of one run, which draws from Random(r): the same
+    # clique as a separate run with rng_seed = r
+    out = tmp_path / "bench.json"
+    assert main(["bench", suite, "--t", str(t), "--reps", str(reps), "--json", str(out)]) == EX_OK
+    (row,) = json.loads(out.read_text())["results"]
+    want = [_one_run_size(suite, t, r) for r in range(reps)]
+    assert row["sizes"] == want
+    assert len(row["seconds"]) == reps
+    if suite != "ga":
+        assert len(set(want)) > 1  # sizes differ by seed, so a wrong mapping shows
 
 
 @pytest.mark.parametrize(

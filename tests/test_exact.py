@@ -54,6 +54,16 @@ def test_outputs_are_oracle_maximal():
             assert not (common - members)
 
 
+@pytest.mark.parametrize("t", range(3, 8))
+def test_no_essay_ends_in_the_completion_band(t):
+    # an (n - 7) x n partial Hadamard matrix always completes (Verheiden,
+    # J. Combin. Theory A, 1978), so no maximal clique of G_t has
+    # 4t - 10 .. 4t - 4 members; this checks maximality without the oracle
+    rep = run_exact(ExactSearchConfig(t=t, essays=200))
+    band = range(4 * t - 10, 4 * t - 3)
+    assert not [e.size for e in rep.essays if e.size in band]
+
+
 def test_deterministic_under_seed_and_jobs():
     a = run_exact(ExactSearchConfig(t=3, essays=6, rng_seed=9))
     b = run_exact(ExactSearchConfig(t=3, essays=6, rng_seed=9))

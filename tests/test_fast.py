@@ -36,24 +36,21 @@ from hadclique.fast import (
     _valid_rows,
     run_many,
 )
+from hadclique import fast
 from hadclique.graph import weight_masks
 
 
 def test_config_defaults_scale_with_t():
-    cfg = FastConfig(t=5)
-    assert cfg.backtracks == 5
-    assert cfg.stalls == 5
-    tuned = FastConfig(t=5, stall_limit=2)
-    assert tuned.stalls == 2
+    # the report echoes the fixed attempts and the t-scaled backtrack and
+    # stall limits
+    config = dict(run_many(Clique(t=2, members=()), FastConfig(t=2), essays=1).config)
+    assert config["attempts_per_vector"] == fast.ATTEMPTS_PER_VECTOR == 10
+    assert config["quarter_backtracks"] == config["stall_limit"] == 2
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         FastConfig(t=0)
-    with pytest.raises(ValueError):
-        FastConfig(t=3, attempts_per_vector=0)
-    with pytest.raises(ValueError):
-        FastConfig(t=3, stall_limit=0)
     with pytest.raises(ValueError):
         FastConfig(t=MAX_T + 1)
 
@@ -224,10 +221,11 @@ def test_buildgrapas_respects_infeasible_class():
     assert buildgrapas(Clique(t=5, members=()), 4, cfg, Random(0)) is None
 
 
-def test_buildgrapas_fails_on_maximal_clique():
+def test_buildgrapas_fails_on_maximal_clique(monkeypatch):
     # a maximum clique of G_3 admits no further vertex at all
+    monkeypatch.setattr("hadclique.fast.ATTEMPTS_PER_VECTOR", 3)
     c = clique_from_codes(3, [2396, 730, 881, 940, 1386, 2482, 1433, 2281, 1268])
-    cfg = FastConfig(t=3, rng_seed=0, attempts_per_vector=3)
+    cfg = FastConfig(t=3, rng_seed=0)
     for k in (0, 1):
         assert buildgrapas(c, k, cfg, Random(0)) is None
 
@@ -267,9 +265,10 @@ def test_run_fast_deterministic():
     assert a.codes == b.codes
 
 
-def test_run_many_shapes_and_determinism():
+def test_run_many_shapes_and_determinism(monkeypatch):
+    monkeypatch.setattr("hadclique.fast.ATTEMPTS_PER_VECTOR", 2)
     seed = Clique(t=3, members=())
-    cfg = FastConfig(t=3, rng_seed=0, stall_limit=1, attempts_per_vector=2)
+    cfg = FastConfig(t=3, rng_seed=0)
     serial = run_many(seed, cfg, essays=3)
     threaded = run_many(seed, cfg, essays=3, jobs=3)
     assert [e.clique.codes for e in serial.essays] == [
@@ -283,7 +282,7 @@ def test_run_many_shapes_and_determinism():
 
 def test_outputs_stay_orthogonal_to_seed():
     seed = clique_from_codes(4, [21930])
-    out = run_fast(seed, FastConfig(t=4, rng_seed=3, stall_limit=2))
+    out = run_fast(seed, FastConfig(t=4, rng_seed=3))
     for code in out.codes:
         if code != 21930:
             assert orthogonal_codes(code, 21930, 4)
@@ -294,7 +293,7 @@ def test_outputs_stay_orthogonal_to_seed():
 # feasible_targets, rng.choices over plain weights, committed coincidences
 # summed afresh over the built quarters, each quarter scored afresh with a
 # (members x t+1) bool matrix of allowed coincidences, and a class loop that
-# ends only on cfg.stalls failures. run_fast must return the same cliques.
+# ends only on t failures. run_fast must return the same cliques.
 
 
 def _reference_inner_search(t, weight, member_quarters, targets, feasible, rng):
@@ -321,7 +320,7 @@ def _reference_buildgrapas(codes, k, cfg, rng):
     ladders = [coincidence_range(t, decode(code, t).k, k) for code in codes]
     if not all(4 * lad.start <= 2 * t <= 4 * lad[-1] for lad in ladders):
         return None
-    for _ in range(cfg.attempts_per_vector):
+    for _ in range(fast.ATTEMPTS_PER_VECTOR):
         order = [0, 1, 2, 3]
         rng.shuffle(order)
         built = {}
@@ -341,7 +340,7 @@ def _reference_buildgrapas(codes, k, cfg, rng):
                     [values for values, _ in playable], rng,
                 )
             if mask is None:
-                if pos == 0 or backtracks >= cfg.backtracks:
+                if pos == 0 or backtracks >= t:
                     pos = -1
                 else:
                     backtracks += 1
@@ -361,7 +360,7 @@ def _reference_run_fast(seed, cfg):
     codes = list(seed.codes)
     for k in [x for x in (t // 2, t // 2 - 1) if x >= 0]:
         stall = 0
-        while stall < cfg.stalls:
+        while stall < t:
             code = _reference_buildgrapas(codes, k, cfg, rng)
             if code is None:
                 stall += 1
@@ -394,6 +393,7 @@ def test_run_fast_replays_the_unbounded_untabled_search(monkeypatch, t, attempts
         return reference(t, weight, member_quarters, *rest)
 
     monkeypatch.setattr("hadclique.fast._inner_search", counting)
+    monkeypatch.setattr("hadclique.fast.ATTEMPTS_PER_VECTOR", attempts)
     monkeypatch.setitem(globals(), "_reference_inner_search", counting_reference)
     starts = [Clique(t=t, members=())]
     try:
@@ -402,7 +402,7 @@ def test_run_fast_replays_the_unbounded_untabled_search(monkeypatch, t, attempts
         pass
     for seed in starts:
         for rng_seed in range(3):
-            cfg = FastConfig(t=t, rng_seed=rng_seed, attempts_per_vector=attempts)
+            cfg = FastConfig(t=t, rng_seed=rng_seed)
             calls.clear()
             reference_calls.clear()
             assert list(run_fast(seed, cfg).codes) == _reference_run_fast(seed, cfg)

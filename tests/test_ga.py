@@ -116,6 +116,15 @@ def test_run_ga_population_invariants():
             assert verify_clique(ch.clique)
 
 
+@pytest.mark.parametrize("t", range(3, 7))
+def test_no_best_ends_in_the_completion_band(t):
+    # every best is a maximal clique, and no maximal clique of G_t has
+    # 4t - 10 .. 4t - 4 members (see tests/test_exact.py)
+    rep = run_many(GaConfig(t=t), essays=4)
+    band = range(4 * t - 10, 4 * t - 3)
+    assert not [e.size for e in rep.essays if e.size in band]
+
+
 def test_run_ga_deterministic():
     a = run_ga(GaConfig(t=3, rng_seed=5))
     b = run_ga(GaConfig(t=3, rng_seed=5))

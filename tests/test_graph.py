@@ -25,7 +25,6 @@ from hadclique import (
     full_mask,
     generator_set,
     join_quarters,
-    orthogonal,
     orthogonal_codes,
     quarters_of,
     random_vertex,
@@ -98,14 +97,13 @@ def test_complement_is_involution(v):
 def test_orthogonality_matches_popcount_rule(v, seed):
     w = random_vertex(v.t, Random(seed))
     agree = bin((v.code ^ w.code) ^ full_mask(v.t)).count("1")
-    assert orthogonal(v, w) == (agree == 2 * v.t)
-    assert orthogonal(v, w) == orthogonal(w, v)
-    assert orthogonal_codes(v.code, w.code, v.t) == orthogonal(v, w)
+    assert orthogonal_codes(v.code, w.code, v.t) == (agree == 2 * v.t)
+    assert orthogonal_codes(v.code, w.code, v.t) == orthogonal_codes(w.code, v.code, v.t)
 
 
 def test_self_orthogonality_never_holds():
     v = decode(684646, 5)
-    assert not orthogonal(v, v)
+    assert not orthogonal_codes(v.code, v.code, v.t)
 
 
 # -- census -----------------------------------------------------------------

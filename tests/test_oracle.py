@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hadclique import (
+    Clique,
     InvalidClique,
     TooLarge,
     SignMatrix,
@@ -61,6 +62,15 @@ def test_verify_clique_accepts_published():
         for t, codes in table.items():
             rep = verify_clique(clique_from_codes(t, codes))
             assert rep, (t, rep.message)
+
+
+def test_verify_clique_rejects_t_below_one():
+    # decode checks t only when there are codes to decode, so an empty
+    # clique must be rejected on its t alone
+    for t in (0, -5):
+        rep = verify_clique(Clique(t=t, members=()))
+        assert not rep
+        assert "t must be positive" in rep.message
 
 
 def test_verify_clique_flags_duplicates():
