@@ -37,6 +37,13 @@ class GaConfig:
         pool_bytes(self.t)
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")
+        if self.t == 1:
+            # G_1 is two isolated vertices, and every essay starts at the
+            # class-0 one, so seeding finds one distinct clique however long it runs
+            raise ValueError(
+                f"seeding in G_1 reaches one distinct clique, too few for a population of "
+                f"{self.population_size}"
+            )
         if self.max_generations < 0:
             raise ValueError("max_generations must be nonnegative")
         if not 0.0 <= self.p_m <= 1.0:

@@ -35,6 +35,15 @@ C(2t, t) halves per side.  Ids are stored pre-scaled by t + 1, so a refine
 bins each half by (group, key) with one add.  Once a refined pool holds no
 more codes than halves it continues as a MaterializedPool, its ascending
 codes filtered by one popcount per refine.
+
+Every pool stores only half of its codes.  Negating a row keeps it
+orthogonal to every other row (the XOR of ~w and u is the complement of
+w ^ u, of weight 4t - 2t), so every common neighborhood is closed under
+complement, and no code is its own complement.  A pool keeps the codes
+whose top bit is 0, which takes only the left halves below 2^(2t-1): the
+first C(2t, t) / 2 of them.  Those codes sort first, and the codes with
+top bit 1 are their complements in reverse order, so with h codes stored,
+rank r >= h of the full pool is stored rank 2h - 1 - r XOR full_mask(t).
 """
 
 from __future__ import annotations
@@ -504,13 +513,26 @@ def _partnered(
     return halves.take(kept), ids.take(kept)
 
 
+def _mirror(r: int, size: int, t: int) -> tuple[int, int]:
+    """The stored rank behind rank r of a pool of size codes, and the mask to XOR it with."""
+    if not 0 <= r < size:
+        raise IndexError(f"rank {r} outside a pool of {size}")
+    return (r, 0) if 2 * r < size else (size - 1 - r, full_mask(t))
+
+
+def _unfold(stored: np.ndarray, t: int) -> np.ndarray:
+    """The full ascending pool from its ascending top-bit-0 codes."""
+    return np.concatenate((stored, stored[::-1] ^ np.uint64(full_mask(t))))
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class MaterializedPool:
-    """A small pool held as its ascending uint64 codes.
+    """A small pool held as its ascending uint64 codes whose top bit is 0.
 
     NeighborPool.refine returns one once the refined pool holds no more
-    codes than halves; from there a refine is one popcount filter over the
-    codes, and a rank indexes them directly.
+    stored codes than halves; from there a refine is one popcount filter
+    over the stored codes, and a rank indexes them directly, mirrored
+    (r -> size - 1 - r, complemented) in the upper half.
     """
 
     t: int
@@ -518,7 +540,7 @@ class MaterializedPool:
 
     @property
     def size(self) -> int:
-        return self.array.size
+        return 2 * self.array.size
 
     def refine(self, code: int) -> MaterializedPool:
         """The sub-pool of codes also orthogonal to ``code``."""
@@ -527,13 +549,12 @@ class MaterializedPool:
 
     def code_at(self, r: int) -> int:
         """The rank-r code of the pool in ascending order."""
-        if not 0 <= r < self.size:
-            raise IndexError(f"rank {r} outside a pool of {self.size}")
-        return int(self.array[r])
+        r, flip = _mirror(r, self.size, self.t)
+        return int(self.array[r]) ^ flip
 
     def codes(self) -> np.ndarray:
-        """A copy of the pool as an ascending uint64 code array."""
-        return self.array.copy()
+        """The whole pool as a new ascending uint64 code array."""
+        return _unfold(self.array, self.t)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -548,6 +569,11 @@ class NeighborPool:
     ranks agree with a sorted materialized pool.  Ids are pre-scaled:
     group g has id g * (t + 1), so a refine's (group, key) bin is one add.
     ``right_count[g]`` is the number of right halves in group g.
+
+    Only left halves below 2^(2t-1) are held, so the halves hold the codes
+    whose top bit is 0; ``size`` counts the whole pool, twice the codes
+    held, and a rank in the upper half is the complement of its mirror
+    rank size - 1 - r in the lower half.
     """
 
     t: int
@@ -567,7 +593,9 @@ class NeighborPool:
         popcount(R & u_lo).  Each side's key, 0..t, is added to its group
         id, the (group, key) bins of both sides are renumbered jointly, and
         halves left without a partner are dropped.  Once the refined pool
-        holds no more codes than halves it is returned materialized.
+        holds no more stored codes than halves it is returned materialized.
+        The complement of a stored code is orthogonal to ``code`` exactly
+        when the code is, so the refined halves still hold half the pool.
         """
         half = 2 * self.t
         width = self.t + 1
@@ -577,11 +605,11 @@ class NeighborPool:
         bins = self.right_count.size * width
         nl = np.bincount(lid, minlength=bins)
         nr = np.bincount(rid, minlength=bins)
-        size = int(nl @ nr)
+        stored = int(nl @ nr)
         both = np.logical_and(nl, nr)
         left, lid = _partnered(self.left, lid, both)
         right, rid = _partnered(self.right, rid, both)
-        if size <= left.size + right.size:
+        if stored <= left.size + right.size:
             return MaterializedPool(t=self.t, array=_join(half, left, lid, right, rid))
         kept = np.flatnonzero(both)
         # nl is spent: reuse it as the bin -> new id table, read at kept bins only
@@ -594,22 +622,22 @@ class NeighborPool:
             right=right,
             right_id=renumber.take(rid),
             right_count=nr.take(kept),
-            size=size,
+            size=2 * stored,
         )
 
     def code_at(self, r: int) -> int:
         """The rank-r code of the pool in ascending order."""
-        if not 0 <= r < self.size:
-            raise IndexError(f"rank {r} outside a pool of {self.size}")
+        r, flip = _mirror(r, self.size, self.t)
         per_left = self.right_count[self.left_id // (self.t + 1)]
         ends = np.cumsum(per_left)
         i = int(np.searchsorted(ends, r, side="right"))
         partners = self.right[self.right_id == self.left_id[i]]
-        return (int(self.left[i]) << (2 * self.t)) | int(partners[r - int(ends[i] - per_left[i])])
+        code = (int(self.left[i]) << (2 * self.t)) | int(partners[r - int(ends[i] - per_left[i])])
+        return code ^ flip
 
     def codes(self) -> np.ndarray:
         """Materialize the pool as an ascending uint64 code array."""
-        return _join(2 * self.t, self.left, self.left_id, self.right, self.right_id)
+        return _unfold(_join(2 * self.t, self.left, self.left_id, self.right, self.right_id), self.t)
 
 
 # Peak bytes of a search per half and side.  The kernel's own arrays peak at
@@ -649,24 +677,27 @@ def pool_bytes(t: int) -> int:
 def vertex_pool(t: int) -> NeighborPool:
     """Every vertex of G_t as a pool; refine it by each member of a clique.
 
-    Both sides start as the C(2t, t) words of weight t, one shared uint32
-    table.  A left half's group is the weight of its top t bits (quarter
-    1), a right half's the weight of its low t bits (quarter 4): equal
-    groups give quarter weights (k, t-k, t-k, k).  Shared by every caller,
-    so its arrays are read-only.  pool_bytes(t) is checked first.
+    The right side starts as the C(2t, t) words of weight t, one shared
+    uint32 table, and the left side as its first C(2t, t) / 2 words, those
+    below 2^(2t-1), so the pool holds the vertices whose top bit is 0.  A
+    left half's group is the weight of its top t bits (quarter 1), a right
+    half's the weight of its low t bits (quarter 4): equal groups give
+    quarter weights (k, t-k, t-k, k).  Shared by every caller, so its
+    arrays are read-only.  pool_bytes(t) is checked first.
     """
     pool_bytes(t)
     width = t + 1
     halves = weight_masks(2 * t, t, np.uint32)
+    left = halves[: halves.size // 2]
     right_group = np.bitwise_count(halves & np.uint32((1 << t) - 1)).astype(np.intp)
-    left_id = np.bitwise_count(halves >> np.uint32(t)).astype(np.intp) * width
+    left_id = np.bitwise_count(left >> np.uint32(t)).astype(np.intp) * width
     right_id = right_group * width
     right_count = np.bincount(right_group, minlength=width)
     for arr in (left_id, right_id, right_count):
         arr.flags.writeable = False
     return NeighborPool(
         t=t,
-        left=halves,
+        left=left,
         left_id=left_id,
         right=halves,
         right_id=right_id,

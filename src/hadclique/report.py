@@ -117,8 +117,10 @@ def run_essays(
     first wave always runs, a started wave always finishes, and the rest
     are skipped once it has passed. Results keep index order, so when each
     essay draws its randomness from its index the report does not depend
-    on jobs.
+    on jobs. A negative time_limit raises ValueError.
     """
+    if time_limit is not None and time_limit < 0:
+        raise ValueError(f"time_limit must be nonnegative, got {time_limit}")
     if essays < 1:
         raise ValueError(f"essays must be positive, got {essays}")
     if jobs < 1:

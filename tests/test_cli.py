@@ -83,6 +83,26 @@ def test_usage_errors_exit_64(capsys):
     assert "t must be in 1..16 (4t <= 64 bits), got 17" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algorithm", ["exact", "ga", "fast"])
+def test_negative_time_limit_is_a_usage_error(algorithm, tmp_path, capsys):
+    out = tmp_path / "r.report"
+    argv = ["search", algorithm, "--t", "3", "--time-limit", "-1", "--out", str(out)]
+    assert main(argv) == EX_USAGE
+    assert "time_limit must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ga_at_t_one_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "r.report"
+    assert main(["search", "ga", "--t", "1", "--out", str(out)]) == EX_USAGE
+    assert main(["search", "ga", "--t", "1", "--population", "2", "--out", str(out)]) == EX_USAGE
+    assert main(["bench", "ga", "--t", "1", "--reps", "1"]) == EX_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.count("usage error: seeding in G_1") == 3
+    assert "median" not in captured.out
+    assert not out.exists()
+
+
 def test_bad_code_in_a_clique_file_is_not_a_usage_error(capsys):
     # decode's RangeError stays a bad input, apart from the t refusals above
     with open("bad.clq", "w") as fh:

@@ -11,6 +11,7 @@ from hadclique import (
     GaConfig,
     clique_from_codes,
     crossover,
+    extend_exact,
     mutate,
     orthogonal_codes,
     random_vertex,
@@ -30,6 +31,16 @@ def test_config_validation():
         GaConfig(t=2, p_b=0.3)
     with pytest.raises(ValueError):
         GaConfig(t=2, max_generations=-1)
+
+
+@pytest.mark.parametrize("population", [2, 5])
+def test_config_rejects_g1_before_seeding(population):
+    # G_1 is two isolated vertices and every seeding essay starts at the
+    # class-0 one, so no population of two or more distinct cliques exists
+    assert {tuple(extend_exact(Clique(t=1, members=()), Random(s)).codes) for s in range(20)} == {(6,)}
+    with pytest.raises(ValueError, match="G_1"):
+        GaConfig(t=1, population_size=population)
+    GaConfig(t=2, population_size=population)
 
 
 def test_crossover_needs_a_parent():

@@ -118,6 +118,42 @@ def test_vertex_pool_holds_every_vertex(t):
     assert np.array_equal(whole.codes(), vertex_codes(t))
 
 
+@pytest.mark.parametrize("t", range(1, 9))
+def test_pools_are_even_and_mirror_by_complement(t):
+    # N(S) is closed under complement and no code is its own complement, so
+    # a pool's size is even and rank size - 1 - r holds the complement of
+    # rank r, in both pool classes, from the whole vertex set to the tail
+    rng = Random(100 + t)
+    mask = graph.full_mask(t)
+    kinds = set()
+    for _ in range(3):
+        kernel = vertex_pool(t)
+        while True:
+            kinds.add(type(kernel))
+            assert kernel.size % 2 == 0, kernel.size
+            if not kernel.size:
+                break
+            ranks = [0, kernel.size // 2 - 1] + [rng.randrange(kernel.size) for _ in range(20)]
+            for r in ranks:
+                assert kernel.code_at(kernel.size - 1 - r) == kernel.code_at(r) ^ mask, r
+            if isinstance(kernel, MaterializedPool):
+                assert np.all(kernel.array < np.uint64(1 << (4 * t - 1)))
+            kernel = kernel.refine(kernel.code_at(rng.randrange(kernel.size)))
+    assert kinds == {NeighborPool, MaterializedPool}
+
+
+@pytest.mark.parametrize("t", range(1, 9))
+def test_vertex_pool_left_is_the_lower_halves(t):
+    whole = vertex_pool(t)
+    want = [w for w in range(1 << (2 * t - 1)) if w.bit_count() == t]
+    assert whole.left.dtype == np.uint32
+    assert whole.left.tolist() == want
+    assert whole.right.tolist() == weight_masks(2 * t, t).tolist()
+    assert not whole.left.flags.writeable
+    with pytest.raises(ValueError):
+        whole.left[0] = 0
+
+
 def test_weight_masks_match_combinations():
     for n in range(17):
         for weight in range(n + 2):

@@ -36,6 +36,13 @@ def test_a_spent_time_limit_runs_exactly_the_first_wave(jobs):
     assert sorted(calls) == list(range(jobs))
 
 
+def test_a_negative_time_limit_is_refused_before_any_essay():
+    calls: list[int] = []
+    with pytest.raises(ValueError, match="time_limit"):
+        run_essays("stub", 2, CONFIG, _stub(calls), essays=3, time_limit=-1)
+    assert calls == []
+
+
 def test_no_time_limit_runs_every_essay():
     calls: list[int] = []
     rep = run_essays("stub", 2, CONFIG, _stub(calls), essays=5, jobs=2)
