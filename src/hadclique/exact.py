@@ -66,7 +66,7 @@ def adjacency(v: VertexCode) -> NeighborPool | MaterializedPool:
     """The pool-construction layer: every neighbor of v, as a pool.
 
     It holds the set graph.adjacency(v) materializes, in the same ascending
-    order, from the C(2t, t) halves of each side.
+    order, from C(2t, t) right and C(2t, t) / 2 left halves.
     """
     return vertex_pool(v.t).refine(v.code)
 

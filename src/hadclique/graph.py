@@ -31,10 +31,10 @@ is orthogonal to member u exactly when popcount(L & ~u_hi) equals
 popcount(R & u_lo).  NeighborPool keeps the surviving halves of each side
 with a group id that pairs them (Horowitz-Sahni split and join), so the
 common neighborhood of a clique is counted, ranked and enumerated from
-C(2t, t) halves per side.  Ids are stored pre-scaled by t + 1, so a refine
-bins each half by (group, key) with one add.  Once a refined pool holds no
-more codes than halves it continues as a MaterializedPool, its ascending
-codes filtered by one popcount per refine.
+at most C(2t, t) halves per side.  Ids are stored pre-scaled by t + 1, so
+a refine bins each half by (group, key) with one add.  Once a refined pool
+stores no more codes than halves it continues as a MaterializedPool, its
+ascending stored codes filtered by one popcount per refine.
 
 Every pool stores only half of its codes.  Negating a row keeps it
 orthogonal to every other row (the XOR of ~w and u is the complement of
@@ -637,15 +637,17 @@ class NeighborPool:
 
     def codes(self) -> np.ndarray:
         """Materialize the pool as an ascending uint64 code array."""
-        return _unfold(_join(2 * self.t, self.left, self.left_id, self.right, self.right_id), self.t)
+        stored = _join(2 * self.t, self.left, self.left_id, self.right, self.right_id)
+        return _unfold(stored, self.t)
 
 
 # Peak bytes of a search per half and side.  The kernel's own arrays peak at
-# 46 B (traced, exact at t = 9..12); peak RSS less BASE_BYTES measured at
-# most 59 B, for one ga essay at t = 10 (at t = 13: 54 B ga, 40 B exact).
-# 112 B leaves room for seeds not measured, and on 8 GB it refuses t = 14
-# (9.0 GB estimated), which has not been run.  BASE_BYTES is the interpreter,
-# numpy and the hadclique CLI (35 MB).
+# 33-35 B (traced under tracemalloc, exact at t = 9..12, pools holding one
+# code of each complement pair); peak RSS less BASE_BYTES measured at most
+# 51 B, for one ga essay at t = 12 (at t = 13: 41 B ga, 33 B exact).  112 B
+# leaves room for seeds not measured, and on 8 GB it refuses t = 14 (9.0 GB
+# estimated), which has not been run.  BASE_BYTES is the interpreter, numpy
+# and the hadclique CLI (35 MB).
 HALF_BYTES = 112
 BASE_BYTES = 40 << 20
 
@@ -657,9 +659,10 @@ def _physical_bytes() -> int:
 def pool_bytes(t: int) -> int:
     """Estimated peak bytes of a search on vertex_pool(t), if the machine holds it.
 
-    The estimate is BASE_BYTES plus HALF_BYTES for each of the 2 * C(2t, t)
-    halves. Raises PoolTooLarge when t is outside 1..MAX_T or the estimate
-    exceeds the machine's physical memory, before anything is allocated.
+    The estimate is BASE_BYTES plus HALF_BYTES for each of 2 * C(2t, t)
+    halves, though the left side holds only half of them. Raises
+    PoolTooLarge when t is outside 1..MAX_T or the estimate exceeds the
+    machine's physical memory, before anything is allocated.
     """
     if not 1 <= t <= MAX_T:
         raise PoolTooLarge(f"t must be in 1..{MAX_T} (4t <= 64 bits), got {t}")
