@@ -22,7 +22,7 @@ from .graph import (
     MaterializedPool,
     NeighborPool,
     VertexCode,
-    clique_from_codes,
+    decode,
     degree,
     pool_bytes,
     random_vertex,
@@ -72,37 +72,43 @@ def adjacency(v: VertexCode) -> NeighborPool | MaterializedPool:
 
 
 def _filter_pool(
-    pool: NeighborPool | MaterializedPool, code: int
+    pool: NeighborPool | MaterializedPool, *codes: int
 ) -> NeighborPool | MaterializedPool:
-    """The intersection layer: the candidates also orthogonal to code."""
-    return pool.refine(code)
+    """The intersection layer: the candidates also orthogonal to every code."""
+    return pool.refine(*codes)
 
 
-def _grow(anchor: VertexCode, members: Sequence[int], rng: Random) -> list[int]:
-    """The codes of a maximal clique: anchor, then members, then the picks.
+def _grow(anchor: VertexCode, members: Sequence[VertexCode], rng: Random) -> Clique:
+    """A maximal clique: anchor, then members, then the picks.
 
-    members must be pairwise orthogonal and orthogonal to anchor. The pool
-    starts as the neighbors of anchor and is refined by each member; each
-    pick is a uniform rank in the pool, which is then refined by the pick,
-    until the pool is empty.
+    members must be pairwise orthogonal and orthogonal to anchor. With no
+    members the pool is the neighbors of anchor; otherwise it is the whole
+    vertex pool refined by anchor and members in one call, which batches
+    them. Each pick is a uniform rank in the pool, which is then refined by
+    the pick, until the pool is empty. Only the picks are decoded.
     """
-    codes = [anchor.code, *members]
-    pool = adjacency(anchor)
-    for code in members:
-        pool = _filter_pool(pool, code)
+    t = anchor.t
+    if members:
+        pool = _filter_pool(vertex_pool(t), anchor.code, *(v.code for v in members))
+    else:
+        pool = adjacency(anchor)
+    picks = []
     while pool.size:
         pick = pool.code_at(rng.randrange(pool.size))
-        codes.append(pick)
+        picks.append(pick)
         pool = _filter_pool(pool, pick)
-    return codes
+    return Clique(t=t, members=(anchor, *members, *(decode(code, t) for code in picks)))
 
 
 def _greedy_essay(cfg: ExactSearchConfig, index: int) -> EssayResult:
     rng = Random(cfg.rng_seed + index)
     t = cfg.t
     begin = time.perf_counter()
-    start = cfg.start_vertex if cfg.start_vertex is not None else _random_start(t, rng)
-    clique = clique_from_codes(t, _grow(start, (), rng))
+    if cfg.start_vertex is not None:
+        start = decode(cfg.start_vertex.code, t)
+    else:
+        start = _random_start(t, rng)
+    clique = _grow(start, (), rng)
     return EssayResult(index=index, clique=clique, seconds=time.perf_counter() - begin)
 
 
@@ -129,16 +135,14 @@ def extend_exact(c: Clique, rng: Random) -> Clique:
     """Greedily extend c to a maximal clique containing it.
 
     An empty c starts a fresh essay from a random vertex. The input members
-    are validated first and an invalid clique is rejected. The pool is held
-    as halves and never materialized; graph.vertex_pool raises PoolTooLarge
+    are validated first and an invalid clique is rejected; they are kept
+    as given, and only the new picks are decoded. The pool is held as
+    halves and never materialized; graph.vertex_pool raises PoolTooLarge
     for a t past graph.pool_bytes before it allocates.
     """
     rep = verify_clique(c)
     if not rep:
         raise InvalidClique(rep.message)
-    t = c.t
     if c.members:
-        anchor, members = c.members[0], c.codes[1:]
-    else:
-        anchor, members = _random_start(t, rng), []
-    return clique_from_codes(t, _grow(anchor, members, rng))
+        return _grow(c.members[0], c.members[1:], rng)
+    return _grow(_random_start(c.t, rng), (), rng)

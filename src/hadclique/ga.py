@@ -88,26 +88,36 @@ def repair(t: int, members: Sequence[VertexCode], rng: Random) -> Clique:
     every member not orthogonal to u is deleted. Terminates with
     probability 1; an empty input yields the empty clique.
     """
-    seen: set[int] = set()
-    pool: list[VertexCode] = []
+    first: dict[int, VertexCode] = {}
     for v in members:
-        if v.code not in seen:
-            seen.add(v.code)
-            pool.append(v)
+        first.setdefault(v.code, v)
+    pool = list(first.values())
+    # clash[c]: the codes in the pool not orthogonal to code c, kept current
+    # as members leave, so a step need not scan every pair
+    codes = list(first)
+    clash: dict[int, set[int]] = {code: set() for code in codes}
+    for i, a in enumerate(codes):
+        for b in codes[i + 1 :]:
+            if not orthogonal_codes(a, b, t):
+                clash[a].add(b)
+                clash[b].add(a)
+    pairs = sum(map(len, clash.values())) // 2
 
-    def conflicted() -> bool:
-        for i in range(len(pool)):
-            for j in range(i + 1, len(pool)):
-                if not orthogonal_codes(pool[i].code, pool[j].code, t):
-                    return True
-        return False
+    def drop(code: int) -> int:
+        for other in clash[code]:
+            clash[other].discard(code)
+        return len(clash.pop(code))
 
-    while conflicted():
+    while pairs:
         u = pool[rng.randrange(len(pool))]
         if rng.random() < 0.5:
             pool.remove(u)
+            pairs -= drop(u.code)
         else:
-            pool = [w for w in pool if w.code == u.code or orthogonal_codes(u.code, w.code, t)]
+            gone = clash[u.code]
+            pool = [w for w in pool if w.code not in gone]
+            for code in list(gone):
+                pairs -= drop(code)
     return Clique(t=t, members=tuple(pool))
 
 

@@ -32,9 +32,12 @@ popcount(R & u_lo).  NeighborPool keeps the surviving halves of each side
 with a group id that pairs them (Horowitz-Sahni split and join), so the
 common neighborhood of a clique is counted, ranked and enumerated from
 at most C(2t, t) halves per side.  Ids are stored pre-scaled by t + 1, so
-a refine bins each half by (group, key) with one add.  Once a refined pool
-stores no more codes than halves it continues as a MaterializedPool, its
-ascending stored codes filtered by one popcount per refine.
+a refine bins each half by (group, key) with one add.  A refine by several
+codes appends one key digit per code and compacts once per batch, a batch
+being as many codes as keep its bins within the halves held.  Once a
+refined pool stores no more codes than halves it continues as a
+MaterializedPool, its ascending stored codes filtered by one popcount per
+code.
 
 Every pool stores only half of its codes.  Negating a row keeps it
 orthogonal to every other row (the XOR of ~w and u is the complement of
@@ -52,7 +55,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, permutations
 from random import Random
 from typing import Iterator, Mapping, Sequence
 
@@ -542,10 +545,12 @@ class MaterializedPool:
     def size(self) -> int:
         return 2 * self.array.size
 
-    def refine(self, code: int) -> MaterializedPool:
-        """The sub-pool of codes also orthogonal to ``code``."""
-        keep = np.bitwise_count(self.array ^ np.uint64(code)) == 2 * self.t
-        return MaterializedPool(t=self.t, array=self.array[keep])
+    def refine(self, *codes: int) -> MaterializedPool:
+        """The sub-pool of codes also orthogonal to every one of ``codes``."""
+        array = self.array
+        for code in codes:
+            array = array[np.bitwise_count(array ^ np.uint64(code)) == 2 * self.t]
+        return MaterializedPool(t=self.t, array=array)
 
     def code_at(self, r: int) -> int:
         """The rank-r code of the pool in ascending order."""
@@ -584,25 +589,49 @@ class NeighborPool:
     right_count: np.ndarray
     size: int
 
-    def refine(self, code: int) -> NeighborPool | MaterializedPool:
-        """The sub-pool of vertices also orthogonal to ``code``.
+    def refine(self, *codes: int) -> NeighborPool | MaterializedPool:
+        """The sub-pool of vertices also orthogonal to every one of ``codes``.
 
         Each half weighs t, and so does each of u's halves, so a vertex
         agrees with u in 2 * (t - popcount(L & ~u_hi) + popcount(R & u_lo))
         positions: it is orthogonal exactly when popcount(L & ~u_hi) equals
-        popcount(R & u_lo).  Each side's key, 0..t, is added to its group
-        id, the (group, key) bins of both sides are renumbered jointly, and
-        halves left without a partner are dropped.  Once the refined pool
-        holds no more stored codes than halves it is returned materialized.
-        The complement of a stored code is orthogonal to ``code`` exactly
-        when the code is, so the refined halves still hold half the pool.
+        popcount(R & u_lo).  The codes are taken in batches: each code of a
+        batch appends its key, 0..t, to each half's bin id as one mixed-radix
+        digit, and a batch grows while its groups * (t + 1)^c bins number no
+        more than the halves held.  The bins of both sides are renumbered
+        jointly, in (group, key, key, ...) order, and halves left without a
+        partner are dropped, once per batch: the same pool as one refine per
+        code.  Once the refined pool holds no more stored codes than halves
+        it continues materialized.  The complement of a stored code is
+        orthogonal to u exactly when the code is, so the refined halves
+        still hold half the pool.
         """
+        pool: NeighborPool | MaterializedPool = self
+        width = self.t + 1
+        while codes and isinstance(pool, NeighborPool):
+            halves = pool.left.size + pool.right.size
+            c, bins = 1, pool.right_count.size * width
+            while c < len(codes) and bins * width <= halves:
+                c, bins = c + 1, bins * width
+            pool, codes = pool._refine(codes[:c], bins), codes[c:]
+        return pool.refine(*codes) if codes else pool
+
+    def _refine(self, codes: Sequence[int], bins: int) -> NeighborPool | MaterializedPool:
+        """One pass of refine: bin both sides by group and the key of each code."""
         half = 2 * self.t
         width = self.t + 1
         mask = (1 << half) - 1
-        lid = self.left_id + np.bitwise_count(self.left & np.uint32(~(code >> half) & mask))
-        rid = self.right_id + np.bitwise_count(self.right & np.uint32(code & mask))
-        bins = self.right_count.size * width
+        lid = rid = None
+        for code in codes:
+            kl = np.bitwise_count(self.left & np.uint32(~(code >> half) & mask))
+            kr = np.bitwise_count(self.right & np.uint32(code & mask))
+            if lid is None:
+                lid, rid = self.left_id + kl, self.right_id + kr
+            else:
+                lid *= width
+                lid += kl
+                rid *= width
+                rid += kr
         nl = np.bincount(lid, minlength=bins)
         nr = np.bincount(rid, minlength=bins)
         stored = int(nl @ nr)
@@ -709,11 +738,15 @@ def vertex_pool(t: int) -> NeighborPool:
     )
 
 
+@lru_cache(maxsize=None)
+def _class_cum_weights(t: int) -> tuple[int, ...]:
+    return tuple(accumulate(class_size(t, k) for k in range(t + 1)))
+
+
 def random_vertex(t: int, rng: Random, k: int | None = None) -> VertexCode:
     """Uniform random vertex of G_t, optionally within one k class."""
     if k is None:
-        ks = list(range(t + 1))
-        k = rng.choices(ks, weights=[class_size(t, kk) for kk in ks])[0]
+        k = rng.choices(range(t + 1), cum_weights=_class_cum_weights(t))[0]
     qs = []
     for weight in (k, t - k, t - k, k):
         qs.append(sum(1 << b for b in rng.sample(range(t), weight)))

@@ -1,4 +1,6 @@
+import tracemalloc
 from random import Random
+from typing import Sequence
 
 import hypothesis.strategies as st
 import pytest
@@ -9,6 +11,7 @@ from hadclique import (
     Chromosome,
     Clique,
     GaConfig,
+    VertexCode,
     clique_from_codes,
     crossover,
     extend_exact,
@@ -20,6 +23,7 @@ from hadclique import (
     verify_clique,
 )
 from hadclique.ga import run_many
+from hadclique.graph import BASE_BYTES, pool_bytes
 
 
 def test_config_validation():
@@ -97,6 +101,56 @@ def test_repair_drops_duplicates_first():
     assert fixed.codes == [v.code]
 
 
+def _rescanning_repair(t: int, members: Sequence[VertexCode], rng: Random) -> Clique:
+    """repair as it was first written: every pair rescanned after each deletion."""
+    seen: set[int] = set()
+    pool: list[VertexCode] = []
+    for v in members:
+        if v.code not in seen:
+            seen.add(v.code)
+            pool.append(v)
+
+    def conflicted() -> bool:
+        for i in range(len(pool)):
+            for j in range(i + 1, len(pool)):
+                if not orthogonal_codes(pool[i].code, pool[j].code, t):
+                    return True
+        return False
+
+    while conflicted():
+        u = pool[rng.randrange(len(pool))]
+        if rng.random() < 0.5:
+            pool.remove(u)
+        else:
+            pool = [w for w in pool if w.code == u.code or orthogonal_codes(u.code, w.code, t)]
+    return Clique(t=t, members=tuple(pool))
+
+
+@given(
+    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from(["random", "duplicates", "mutated"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_repair_replays_the_rescanning_loop(t, seed, kind):
+    # the same clique, and the same draws in the same order, as the loop
+    # that rescanned every pair: random members, members with repeats, and
+    # a clique with members resampled as the GA's mutate does
+    rng = Random(seed)
+    if kind == "mutated":
+        base = extend_exact(Clique(t=t, members=()), rng)
+        members = mutate(base, rng.choice([0.1, 0.3, 0.6]), rng)
+    else:
+        members = [random_vertex(t, rng) for _ in range(rng.randrange(0, 12))]
+    if kind == "duplicates" and members:
+        members += [rng.choice(members) for _ in range(rng.randrange(1, 6))]
+        rng.shuffle(members)
+    want_rng, got_rng = Random(seed + 1), Random(seed + 1)
+    want = _rescanning_repair(t, members, want_rng)
+    assert repair(t, members, got_rng) == want
+    assert got_rng.getstate() == want_rng.getstate()
+
+
 def test_mutate_rate_extremes():
     rng = Random(7)
     c = clique_from_codes(2, [166, 101, 106])
@@ -167,3 +221,17 @@ def test_first_best_generation_recorded():
     trace = essay.generations
     assert trace[essay.first_best_generation] == max(trace)
     assert all(g < max(trace) for g in trace[: essay.first_best_generation])
+
+
+def test_one_essay_at_t10_is_within_the_byte_estimate():
+    # as for exact (tests/test_exact.py): tracemalloc sees the kernel's
+    # arrays, not the interpreter, so they are held to the estimate less
+    # BASE_BYTES
+    tracemalloc.start()
+    try:
+        rep = run_ga(GaConfig(t=10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verify_clique(rep.best)
+    assert peak < pool_bytes(10) - BASE_BYTES

@@ -10,6 +10,7 @@ from hadclique import (
     KOutOfRange,
     PatternError,
     RangeError,
+    VertexCode,
     WeightError,
     adjacency,
     adjacency_profile,
@@ -306,6 +307,25 @@ def test_random_vertex_is_well_formed(t, seed):
     v = random_vertex(t, Random(seed))
     assert decode(v.code, t) == v
     assert 0 <= v.k <= t
+
+
+def _weighted_random_vertex(t: int, rng: Random) -> VertexCode:
+    """random_vertex as it was first written: the class weights rebuilt per call."""
+    ks = list(range(t + 1))
+    k = rng.choices(ks, weights=[class_size(t, kk) for kk in ks])[0]
+    qs = [sum(1 << b for b in rng.sample(range(t), w)) for w in (k, t - k, t - k, k)]
+    return VertexCode(t=t, code=join_quarters(qs, t), k=k)
+
+
+@pytest.mark.parametrize("t", range(2, 10))
+def test_random_vertex_draws_as_the_rebuilt_weights_did(t):
+    # the cached cumulative weights make the same draw, so every vertex and
+    # the generator's state afterwards are the same
+    for seed in range(200):
+        want_rng, got_rng = Random(seed), Random(seed)
+        want = [_weighted_random_vertex(t, want_rng) for _ in range(5)]
+        assert [random_vertex(t, got_rng) for _ in range(5)] == want, seed
+        assert got_rng.getstate() == want_rng.getstate()
 
 
 def test_adjacency_sizes_match_degree():

@@ -25,6 +25,7 @@ from hadclique import (
     brute_adjacency_codes,
     extend_exact,
     random_vertex,
+    run_exact,
     vertex_codes,
 )
 from hadclique import graph
@@ -206,3 +207,89 @@ def test_over_budget_t_is_refused_before_allocating(monkeypatch):
         tracemalloc.stop()
     # vertex_pool(13) alone would hold 10.4M halves: 83 MB of words
     assert peak < 1 << 20
+
+
+def _chain(pool, codes):
+    for code in codes:
+        pool = pool.refine(code)
+    return pool
+
+
+@pytest.mark.parametrize("t", range(1, 9))
+def test_multi_code_refine_equals_single_refines(t):
+    # refine(*codes) batches the codes, so it must hold the set a chain of
+    # single refines holds: from the whole vertex pool, and from pools a
+    # few codes in, whichever class those are; at t <= 5 also the set the
+    # brute-force oracle leaves
+    rng = Random(200 + t)
+    crossed = 0
+    for seed in range(4):
+        codes = run_exact(ExactSearchConfig(t=t, essays=1, rng_seed=seed)).best.codes
+        rng.shuffle(codes)
+        for k in sorted({0, 1, 2, len(codes) // 2}):
+            start = _chain(vertex_pool(t), codes[:k])
+            want = _chain(start, codes[k:])
+            got = start.refine(*codes[k:])
+            if isinstance(start, NeighborPool) and isinstance(want, MaterializedPool):
+                crossed += 1
+            assert got.size == want.size
+            assert np.array_equal(got.codes(), want.codes())
+            ranks = [rng.randrange(want.size) for _ in range(SAMPLED_RANKS)] if want.size else []
+            assert [got.code_at(r) for r in ranks] == [want.code_at(r) for r in ranks]
+            if t <= 5:
+                brute = vertex_codes(t)
+                for code in codes:
+                    brute = _filter(brute, code, t)
+                assert np.array_equal(got.codes(), brute)
+    assert crossed or t == 1
+    assert vertex_pool(t).refine() is vertex_pool(t)
+
+
+@given(
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=1, max_value=8),
+)
+@settings(max_examples=40, deadline=None)
+def test_multi_code_refine_matches_brute_force(t, seed, n):
+    # codes drawn from the pool as it shrinks, so every batch is a clique
+    rng = Random(seed)
+    brute = vertex_codes(t)
+    codes = []
+    while brute.size and len(codes) < n:
+        codes.append(int(brute[rng.randrange(brute.size)]))
+        brute = _filter(brute, codes[-1], t)
+    kernel = vertex_pool(t).refine(*codes)
+    assert kernel.size == brute.size
+    assert np.array_equal(kernel.codes(), brute)
+
+
+def _traced_peak(build) -> int:
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("t", [7, 8])
+def test_a_batch_holds_no_bin_array_larger_than_the_halves(t):
+    # a batch counts its halves into groups * (t + 1)^c bins: two int64
+    # counts and one bool per bin.  Capped at the halves held, that adds at
+    # most 17 B per half over the single refines' peak; one code more than
+    # the cap allows would add up to (t + 1) times that
+    rng = Random(t)
+    for seed in range(3):
+        codes = run_exact(ExactSearchConfig(t=t, essays=1, rng_seed=seed)).best.codes
+        rng.shuffle(codes)
+        for k in (0, 2):
+            start = _chain(vertex_pool(t), codes[:k])
+            assert isinstance(start, NeighborPool)
+            halves = start.left.size + start.right.size
+            # warm any lazy state first
+            _chain(start, codes[k:])
+            start.refine(*codes[k:])
+            chain = _traced_peak(lambda: _chain(start, codes[k:]))
+            batch = _traced_peak(lambda: start.refine(*codes[k:]))
+            assert batch <= chain + 17 * halves, (seed, k, chain, batch, halves)
