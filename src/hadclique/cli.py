@@ -322,7 +322,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(f"{args.suite} suite, {args.reps} reps")
     rows = []
     for t, run in zip(ts, runs):
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         essays = run().essays
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         secs = [e.seconds for e in essays]
         med = statistics.median(secs)
         print(f"t={t:>2}  median {med:>8.3f}s over {args.reps} reps")
@@ -337,6 +339,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             # ru_maxrss is in KiB on Linux; the process peak so far, so it
             # belongs to this t only when the suite runs one t
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            # pages first touched (or touched again after the allocator
+            # returned them) during this t's reps, set-up included
+            "minor_faults": faults,
         })
     if args.json:
         doc = {"suite": args.suite, "machine": _machine(), "results": rows}

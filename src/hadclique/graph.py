@@ -51,6 +51,7 @@ rank r >= h of the full pool is stored rank 2h - 1 - r XOR full_mask(t).
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from dataclasses import dataclass
@@ -673,7 +674,8 @@ class NeighborPool:
 # Peak bytes of a search per half and side.  The kernel's own arrays peak at
 # 33-35 B (traced under tracemalloc, exact at t = 9..12, pools holding one
 # code of each complement pair); peak RSS less BASE_BYTES measured at most
-# 51 B, for one ga essay at t = 12 (at t = 13: 41 B ga, 33 B exact).  112 B
+# 47 B, for one ga essay at t = 12 (at t = 13: 41 B ga, 33 B exact), with
+# the allocator thresholds vertex_pool sets.  112 B
 # leaves room for seeds not measured, and on 8 GB it refuses t = 14 (9.0 GB
 # estimated), which has not been run.  BASE_BYTES is the interpreter, numpy
 # and the hadclique CLI (35 MB).
@@ -705,6 +707,29 @@ def pool_bytes(t: int) -> int:
     return need
 
 
+# glibc's malloc starts with 128 KiB mmap and trim thresholds and raises
+# them (to a freed mmapped chunk's size, and twice that) only up to 32 and
+# 64 MiB on 64-bit.  A refine's temporaries at t = 8 are all below 128 KiB,
+# so the thresholds stay put, and free() returns the heap top after most
+# refines for the next refine to fault in again.  Setting either threshold
+# ends the adaptive rule, so both are set, to the highest values it reaches.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+
+
+@lru_cache(maxsize=None)
+def _keep_freed_memory() -> None:
+    """Once per process, let glibc keep up to 64 MiB of freed heap mapped."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # no libc to load, or one without mallopt
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 @lru_cache(maxsize=None)
 def vertex_pool(t: int) -> NeighborPool:
     """Every vertex of G_t as a pool; refine it by each member of a clique.
@@ -716,8 +741,15 @@ def vertex_pool(t: int) -> NeighborPool:
     half's the weight of its low t bits (quarter 4): equal groups give
     quarter weights (k, t-k, t-k, k).  Shared by every caller, so its
     arrays are read-only.  pool_bytes(t) is checked first.
+
+    The first pool a process builds also sets glibc's mmap and trim
+    thresholds (32 and 64 MiB, where glibc's own adaptive rule tops out),
+    so the temporaries each refine frees stay mapped for the next refine
+    instead of being returned to the OS and faulted in again.  Where libc
+    has no mallopt the allocator keeps its defaults.
     """
     pool_bytes(t)
+    _keep_freed_memory()
     width = t + 1
     halves = weight_masks(2 * t, t, np.uint32)
     left = halves[: halves.size // 2]

@@ -342,6 +342,7 @@ def test_bench_json(tmp_path, capsys):
     assert len(row["seconds"]) == 1 and row["median_s"] == row["seconds"][0]
     assert row["sizes"] == [9]
     assert row["reference_s"] == 0.039
+    assert isinstance(row["minor_faults"], int) and row["minor_faults"] >= 0
     assert main(["bench", "fast", "--t", "1", "--reps", "1", "--json", str(out)]) == EX_OK
     assert json.loads(out.read_text())["results"][0]["reference_s"] is None
     assert main(["bench", "census", "--json", str(out)]) == EX_USAGE

@@ -6,8 +6,14 @@ The kernel must hold the same set, count it exactly and rank it in the same
 ascending order.
 """
 
+import ctypes
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 from random import Random
 
 import hypothesis.strategies as st
@@ -293,3 +299,69 @@ def test_a_batch_holds_no_bin_array_larger_than_the_halves(t):
             chain = _traced_peak(lambda: _chain(start, codes[k:]))
             batch = _traced_peak(lambda: start.refine(*codes[k:]))
             assert batch <= chain + 17 * halves, (seed, k, chain, batch, halves)
+
+
+def _glibc_mallopt() -> bool:
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+# run in a fresh interpreter: a test process may already have raised glibc's
+# adaptive thresholds by freeing some large block, which hides the churn
+_FAULTS_PER_ESSAY = """
+import resource
+from hadclique import ExactSearchConfig, run_exact
+run_exact(ExactSearchConfig(t=8, essays=20, rng_seed=999))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_exact(ExactSearchConfig(t=8, essays=100, rng_seed=1))
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 100)
+"""
+
+
+@pytest.mark.skipif(not _glibc_mallopt(), reason="needs glibc's mallopt")
+def test_exact_essays_do_not_refault_freed_memory():
+    # each refine frees its temporaries; with glibc's default thresholds
+    # free() returned the heap top to the OS and the next refine faulted it
+    # in again, 60-95 minor faults per essay at t = 8
+    src = str(Path(graph.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", _FAULTS_PER_ESSAY], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert float(out.stdout) < 10, out.stdout
+
+
+class _Libc:
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def _no_libc(name):
+    raise OSError("no libc")
+
+
+@pytest.mark.parametrize("libc", ["missing", "no mallopt", "mallopt"])
+def test_vertex_pool_builds_whatever_libc_offers(monkeypatch, libc):
+    wants = [vertex_pool(4), vertex_pool(5)]
+    fake = _Libc()
+    lookups = {"missing": _no_libc, "no mallopt": lambda name: object(), "mallopt": lambda name: fake}
+    monkeypatch.setattr(ctypes, "CDLL", lookups[libc])
+    # the thresholds are set once per process; forget that they were, before
+    # and after, so that the next real pool sets them again
+    graph._keep_freed_memory.cache_clear()
+    try:
+        pools = [vertex_pool.__wrapped__(4), vertex_pool.__wrapped__(5)]
+    finally:
+        graph._keep_freed_memory.cache_clear()
+    for got, want in zip(pools, wants):
+        assert got.size == want.size
+        assert np.array_equal(got.codes(), want.codes())
+    # glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, at 32 and 64 MiB, once
+    assert fake.calls == ([(-3, 32 << 20), (-1, 64 << 20)] if libc == "mallopt" else [])
