@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from .errors import BothEmpty, HadcliqueError
 from .exact import extend_exact
-from .graph import Clique, VertexCode, orthogonal_codes, pool_bytes, random_vertex
+from .graph import Clique, VertexCode, pool_bytes, random_vertex
 from .report import EssayResult, SearchReport, run_essays, utc_stamp
 
 __all__ = ["GaConfig", "Chromosome", "crossover", "repair", "mutate", "run_ga", "run_many"]
@@ -96,9 +96,10 @@ def repair(t: int, members: Sequence[VertexCode], rng: Random) -> Clique:
     # as members leave, so a step need not scan every pair
     codes = list(first)
     clash: dict[int, set[int]] = {code: set() for code in codes}
+    agree = 2 * t
     for i, a in enumerate(codes):
         for b in codes[i + 1 :]:
-            if not orthogonal_codes(a, b, t):
+            if (a ^ b).bit_count() != agree:
                 clash[a].add(b)
                 clash[b].add(a)
     pairs = sum(map(len, clash.values())) // 2

@@ -32,10 +32,14 @@ popcount(R & u_lo).  NeighborPool keeps the surviving halves of each side
 with a group id that pairs them (Horowitz-Sahni split and join), so the
 common neighborhood of a clique is counted, ranked and enumerated from
 at most C(2t, t) halves per side.  Ids are stored pre-scaled by t + 1, so
-a refine bins each half by (group, key) with one add.  A refine by several
-codes appends one key digit per code and compacts once per batch, a batch
-being as many codes as keep its bins within the halves held.  Once a
-refined pool stores no more codes than halves it continues as a
+a refine bins each half by (group, key) with one add, and a refine by
+several codes appends one key digit per code.  A refine whose bins would
+still take another digit within the halves held, and which leaves at most
+a quarter of them without a partner, stays open: the refined pool shares
+its parent's halves, dead ones included, and its ids are the raw bins, so
+the next refine appends its digit to them.  Otherwise it compacts: it
+drops the dead halves and renumbers the bins left with a partner.  Once a
+refined pool stores no more codes than live halves it continues as a
 MaterializedPool, its ascending stored codes filtered by one popcount per
 code.
 
@@ -491,7 +495,8 @@ def _join(half: int, left: np.ndarray, left_id: np.ndarray, right: np.ndarray,
           right_id: np.ndarray) -> np.ndarray:
     """The codes left[i] << half | right[j] with left_id[i] == right_id[j], ascending.
 
-    left must be ascending, and every left id must occur among the right ids.
+    left must be ascending, and every left id must occur among the right ids,
+    so a pool left open by a refine drops its dead lefts first.
     """
     counts = np.bincount(right_id)
     # sorting (id, half) keys lays the right halves out id by id, each run
@@ -510,10 +515,10 @@ def _partnered(
     halves: np.ndarray, ids: np.ndarray, both: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The halves whose bin has a partner on the other side, with their ids."""
-    keep = both[ids]
+    keep = both.take(ids)
     if keep.all():
         return halves, ids
-    kept = np.flatnonzero(keep)
+    kept = keep.nonzero()[0]
     return halves.take(kept), ids.take(kept)
 
 
@@ -576,6 +581,15 @@ class NeighborPool:
     group g has id g * (t + 1), so a refine's (group, key) bin is one add.
     ``right_count[g]`` is the number of right halves in group g.
 
+    A pool left open by a refine holds its parent's halves and takes the
+    refine's raw bins as groups, so some groups are empty and some halves
+    are dead, their group having no half on the other side.  Appending
+    digits never gives a dead half a partner, and none is ever read: a dead
+    left has no right halves to count, and a dead right's id matches no
+    live left.  ``right_count.size * (t + 1)`` is then within the halves
+    held.  A compacted pool holds live halves only, and every group has a
+    half on each side.
+
     Only left halves below 2^(2t-1) are held, so the halves hold the codes
     whose top bit is 0; ``size`` counts the whole pool, twice the codes
     held, and a rank in the upper half is the complement of its mirror
@@ -599,13 +613,16 @@ class NeighborPool:
         popcount(R & u_lo).  The codes are taken in batches: each code of a
         batch appends its key, 0..t, to each half's bin id as one mixed-radix
         digit, and a batch grows while its groups * (t + 1)^c bins number no
-        more than the halves held.  The bins of both sides are renumbered
-        jointly, in (group, key, key, ...) order, and halves left without a
-        partner are dropped, once per batch: the same pool as one refine per
-        code.  Once the refined pool holds no more stored codes than halves
-        it continues materialized.  The complement of a stored code is
-        orthogonal to u exactly when the code is, so the refined halves
-        still hold half the pool.
+        more than the halves held.  A batch whose bins would take one more
+        digit, and whose halves are at least three quarters live, leaves the
+        pool open on the raw bins, which the next refine extends: keying a
+        dead half costs a later refine about what dropping it costs now.
+        Otherwise the bins of both sides are renumbered jointly, in (group,
+        key, key, ...) order, and halves left without a partner are dropped:
+        the same pool as one refine per code.  Once the refined pool holds
+        no more stored codes than live halves it continues materialized.
+        The complement of a stored code is orthogonal to u exactly when the
+        code is, so the refined halves still hold half the pool.
         """
         pool: NeighborPool | MaterializedPool = self
         width = self.t + 1
@@ -637,11 +654,20 @@ class NeighborPool:
         nr = np.bincount(rid, minlength=bins)
         stored = int(nl @ nr)
         both = np.logical_and(nl, nr)
+        halves = self.left.size + self.right.size
+        if bins * width <= halves:
+            # stay open while at most a quarter of the halves lack a partner
+            live = int((nl + nr) @ both)
+            if stored > live and 4 * live >= 3 * halves:
+                lid *= width
+                rid *= width
+                return NeighborPool(t=self.t, left=self.left, left_id=lid, right=self.right,
+                                    right_id=rid, right_count=nr, size=2 * stored)
         left, lid = _partnered(self.left, lid, both)
         right, rid = _partnered(self.right, rid, both)
         if stored <= left.size + right.size:
             return MaterializedPool(t=self.t, array=_join(half, left, lid, right, rid))
-        kept = np.flatnonzero(both)
+        kept = both.nonzero()[0]
         # nl is spent: reuse it as the bin -> new id table, read at kept bins only
         renumber = nl
         renumber[kept] = np.arange(0, kept.size * width, width)
@@ -667,7 +693,10 @@ class NeighborPool:
 
     def codes(self) -> np.ndarray:
         """Materialize the pool as an ascending uint64 code array."""
-        stored = _join(2 * self.t, self.left, self.left_id, self.right, self.right_id)
+        # dead lefts, left in an open pool, have no partner for _join to find
+        live = self.right_count[self.left_id // (self.t + 1)].nonzero()[0]
+        left, left_id = self.left.take(live), self.left_id.take(live)
+        stored = _join(2 * self.t, left, left_id, self.right, self.right_id)
         return _unfold(stored, self.t)
 
 

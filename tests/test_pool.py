@@ -32,6 +32,7 @@ from hadclique import (
     extend_exact,
     random_vertex,
     run_exact,
+    run_ga,
     vertex_codes,
 )
 from hadclique import graph
@@ -365,3 +366,108 @@ def test_vertex_pool_builds_whatever_libc_offers(monkeypatch, libc):
         assert np.array_equal(got.codes(), want.codes())
     # glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, at 32 and 64 MiB, once
     assert fake.calls == ([(-3, 32 << 20), (-1, 64 << 20)] if libc == "mallopt" else [])
+
+
+def _dead(pool: NeighborPool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per half, whether its bin lacks a partner on the other side; and whether each bin is empty."""
+    width = pool.t + 1
+    lbin, rbin = pool.left_id // width, pool.right_id // width
+    lefts = np.bincount(lbin, minlength=pool.right_count.size)
+    both = np.logical_and(lefts, pool.right_count)
+    return ~both[lbin], ~both[rbin], ~np.logical_or(lefts, pool.right_count)
+
+
+OPEN_CHECK_CODES = 1 << 18  # codes() only below this: a t = 9 pool starts at 154 M codes
+OPEN_FULL_RANKS = 1 << 13  # at t <= 7, pools up to this size are checked at every rank
+
+
+@pytest.mark.parametrize("t", range(4, 10))
+def test_open_pools_equal_closed_ones(t):
+    # a refine whose bins leave room for another digit stays open: it keeps
+    # its parent's halves, dead ones included, with raw bins as ids.  Along
+    # chains of single refines from each start class, each pool must hold
+    # what the whole vertex pool refined by the same codes in one batch
+    # holds (and at t <= 5 the brute-force common neighbourhood), and a pool
+    # holding a dead half must share its parent's halves
+    rng = Random(300 + t)
+    whole = vertex_pool(t)
+    tables = (whole.left, whole.left_id, whole.right, whole.right_id, whole.right_count)
+    before = [arr.copy() for arr in tables]
+    opened = dead_both = 0
+    for k in [*range(t // 2 + 1)] * 2:
+        pool, codes = whole, [random_vertex(t, rng, k=k).code]
+        while True:
+            parent, pool = pool, pool.refine(codes[-1])
+            batch = whole.refine(*codes)
+            assert pool.size == batch.size
+            want = batch.codes() if pool.size <= OPEN_CHECK_CODES else None
+            if want is not None:
+                assert np.array_equal(pool.codes(), want)
+            if t <= 5:
+                brute = vertex_codes(t)
+                for code in codes:
+                    brute = _filter(brute, code, t)
+                assert np.array_equal(want, brute)
+            if t <= 7 and pool.size <= OPEN_FULL_RANKS:
+                assert [pool.code_at(r) for r in range(pool.size)] == want.tolist()
+            elif pool.size:
+                ranks = [0, pool.size // 2 - 1, pool.size // 2, pool.size - 1]
+                ranks += [rng.randrange(pool.size) for _ in range(SAMPLED_RANKS)]
+                assert [pool.code_at(r) for r in ranks] == [batch.code_at(r) for r in ranks]
+            if isinstance(pool, NeighborPool):
+                dead_left, dead_right, empty = _dead(pool)
+                halves = pool.left.size + pool.right.size
+                if dead_left.any() or dead_right.any() or empty.any():
+                    # open: the bins still take another digit within the halves held
+                    assert pool.right_count.size * (t + 1) <= halves
+                    assert pool.left is parent.left and pool.right is parent.right
+                    opened += 1
+                    dead_both += bool(dead_left.any() and dead_right.any())
+            if not pool.size:
+                break
+            codes.append(pool.code_at(rng.randrange(pool.size)))
+    # t = 4 has too few bins for an open pool with dead halves on both sides
+    assert opened and (dead_both or t == 4), (opened, dead_both)
+    for arr, copy in zip(tables, before):
+        assert not arr.flags.writeable
+        assert np.array_equal(arr, copy)
+
+
+@pytest.mark.parametrize("t", [5, 8, 9])
+def test_open_pools_leave_room_and_keep_the_switch_point(t, monkeypatch):
+    # the next refine of a pool counts its halves into right_count.size *
+    # (t + 1) bins; a pool stays open only while that is within the halves
+    # it holds, so an open pool's bins stay within its halves.  A compacted
+    # pool keeps every group with a half on each side, which can be fewer
+    # than t + 1 halves per group, so it holds only the weaker bound.  Dead
+    # halves do not move the switch to a materialized pool: it comes once
+    # the stored codes number no more than the live halves
+    refined = []
+    spied = NeighborPool._refine
+
+    def spy(self, codes, bins):
+        refined.append(spied(self, codes, bins))
+        return refined[-1]
+
+    monkeypatch.setattr(NeighborPool, "_refine", spy)
+    run_exact(ExactSearchConfig(t=t, essays=6))
+    run_ga(GaConfig(t=t, max_generations=4))
+    for pool in refined:
+        if isinstance(pool, MaterializedPool):
+            # a live half is one that some stored code holds
+            half = np.uint64(2 * t)
+            live = np.unique(pool.array >> half).size
+            live += np.unique(pool.array & np.uint64((1 << 2 * t) - 1)).size
+            assert pool.array.size <= live
+    pools = [pool for pool in refined if isinstance(pool, NeighborPool)]
+    opened = 0
+    for pool in pools:
+        dead_left, dead_right, empty = _dead(pool)
+        halves = pool.left.size + pool.right.size
+        assert pool.size // 2 > halves - dead_left.sum() - dead_right.sum()
+        if dead_left.any() or dead_right.any() or empty.any():
+            assert pool.right_count.size * (t + 1) <= halves
+            opened += 1
+        else:
+            assert pool.right_count.size * 2 <= halves
+    assert 0 < opened < len(pools), (opened, len(pools))
