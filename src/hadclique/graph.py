@@ -700,14 +700,14 @@ class NeighborPool:
         return _unfold(stored, self.t)
 
 
-# Peak bytes of a search per half and side.  The kernel's own arrays peak at
-# 33-35 B (traced under tracemalloc, exact at t = 9..12, pools holding one
-# code of each complement pair); peak RSS less BASE_BYTES measured at most
-# 47 B, for one ga essay at t = 12 (at t = 13: 41 B ga, 33 B exact), with
-# the allocator thresholds vertex_pool sets.  112 B
-# leaves room for seeds not measured, and on 8 GB it refuses t = 14 (9.0 GB
-# estimated), which has not been run.  BASE_BYTES is the interpreter, numpy
-# and the hadclique CLI (35 MB).
+# Peak bytes of a search per half and side.  The arrays one essay allocates
+# peak at 25-32 B for exact and 32-37 B for ga (traced under tracemalloc
+# with vertex_pool(t) built first, t = 9..12, pools left open on their
+# parent's halves included); peak RSS less BASE_BYTES measured at most
+# 49 B, for one ga essay at t = 12, with the allocator thresholds
+# vertex_pool sets.  112 B leaves room for seeds not measured, and on 8 GB
+# it refuses t = 14 (9.0 GB estimated), which has not been run.
+# BASE_BYTES is the interpreter, numpy and the hadclique CLI (35 MB).
 HALF_BYTES = 112
 BASE_BYTES = 40 << 20
 
