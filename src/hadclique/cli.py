@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--essays", type=int, default=10)
     sp.add_argument("--rng-seed", type=int, default=0)
     sp.add_argument("--time-limit", type=float, default=None,
-                    help="seconds; checked between waves")
+                    help="seconds; no essay past the first --jobs starts after it")
     sp.add_argument("--population", type=int, default=5, help="ga population size")
     sp.add_argument("--generations", type=int, default=20, help="ga generations")
     sp.add_argument("--pm", type=float, default=0.1, help="ga mutation probability")

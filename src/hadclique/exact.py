@@ -117,15 +117,19 @@ def run_exact(cfg: ExactSearchConfig, jobs: int = 1, time_limit: float | None = 
 
     Essay i draws all randomness from Random(rng_seed + i), so results are
     reproducible and independent of jobs. Every essay runs to a maximal
-    clique: memory is set by the pool's halves, not by any degree, and cfg
-    has passed graph.pool_bytes. run_essays holds the wave and time_limit
-    rules; a started essay is not interrupted.
+    clique: memory is set by the pool's halves, not by any degree, and
+    graph.pool_bytes must admit jobs essays at once. vertex_pool(t) is
+    built before run_essays forks, so its workers share it. run_essays
+    holds the worker and time_limit rules; a started essay is not
+    interrupted.
     """
     config = (
         ("essays", cfg.essays),
         ("rng_seed", cfg.rng_seed),
         ("start_vertex", "-" if cfg.start_vertex is None else cfg.start_vertex.code),
     )
+    pool_bytes(cfg.t, jobs)
+    vertex_pool(cfg.t)
     return run_essays(
         "exact", cfg.t, config, lambda i: _greedy_essay(cfg, i), cfg.essays, jobs, time_limit
     )

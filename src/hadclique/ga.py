@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from .errors import BothEmpty, HadcliqueError
 from .exact import extend_exact
-from .graph import Clique, VertexCode, pool_bytes, random_vertex
+from .graph import Clique, VertexCode, pool_bytes, random_vertex, vertex_pool
 from .report import EssayResult, SearchReport, run_essays, utc_stamp
 
 __all__ = ["GaConfig", "Chromosome", "crossover", "repair", "mutate", "run_ga", "run_many"]
@@ -217,10 +217,13 @@ def _config_echo(cfg: GaConfig) -> tuple[tuple[str, object], ...]:
 def run_many(
     cfg: GaConfig, essays: int, jobs: int = 1, time_limit: float | None = None
 ) -> SearchReport:
-    """Independent GA runs through report.run_essays, which holds the wave
+    """Independent GA runs through report.run_essays, which holds the worker
     and time_limit rules. Run i uses rng_seed + i, so jobs never changes
-    results.
+    results. graph.pool_bytes must admit jobs runs at once, and
+    vertex_pool(t) is built before run_essays forks, so its workers share it.
     """
+    pool_bytes(cfg.t, jobs)
+    vertex_pool(cfg.t)
     return run_essays(
         "ga",
         cfg.t,

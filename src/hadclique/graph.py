@@ -700,15 +700,21 @@ class NeighborPool:
         return _unfold(stored, self.t)
 
 
-# Peak bytes of a search per half and side.  The arrays one essay allocates
-# peak at 25-32 B for exact and 32-37 B for ga (traced under tracemalloc
-# with vertex_pool(t) built first, t = 9..12, pools left open on their
-# parent's halves included); peak RSS less BASE_BYTES measured at most
-# 49 B, for one ga essay at t = 12, with the allocator thresholds
-# vertex_pool sets.  112 B leaves room for seeds not measured, and on 8 GB
-# it refuses t = 14 (9.0 GB estimated), which has not been run.
-# BASE_BYTES is the interpreter, numpy and the hadclique CLI (35 MB).
-HALF_BYTES = 112
+# Peak bytes of a search per half and side, split between the vertex_pool(t)
+# tables every essay shares and the arrays one essay allocates.  The tables
+# take 9 B (a uint32 word and an intp id for each of the 1.5 * C(2t, t)
+# halves stored); forked workers share their pages.  The arrays one essay
+# allocates peak at 25-32 B for exact and 32-37 B for ga (traced under
+# tracemalloc with vertex_pool(t) built first, t = 9..12, pools left open
+# on their parent's halves included); peak RSS less BASE_BYTES measured at
+# most 49 B, tables included, for one ga essay at t = 12, with the
+# allocator thresholds vertex_pool sets.  16 + 96 = 112 B for one essay
+# leaves room for seeds not measured, and on 8 GB it refuses t = 14
+# (9.0 GB estimated), which has not been run.  BASE_BYTES is the
+# interpreter, numpy and the hadclique CLI (35 MB), counted once: a forked
+# worker shares the parent's pages until it writes them.
+SHARED_HALF_BYTES = 16
+ESSAY_HALF_BYTES = 96
 BASE_BYTES = 40 << 20
 
 
@@ -716,21 +722,22 @@ def _physical_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def pool_bytes(t: int) -> int:
-    """Estimated peak bytes of a search on vertex_pool(t), if the machine holds it.
+def pool_bytes(t: int, jobs: int = 1) -> int:
+    """Estimated peak bytes of jobs essays at once on vertex_pool(t), if the machine holds it.
 
-    The estimate is BASE_BYTES plus HALF_BYTES for each of 2 * C(2t, t)
-    halves, though the left side holds only half of them. Raises
-    PoolTooLarge when t is outside 1..MAX_T or the estimate exceeds the
-    machine's physical memory, before anything is allocated.
+    The estimate is BASE_BYTES plus, for each of 2 * C(2t, t) halves (the
+    left side holds only half of them), SHARED_HALF_BYTES for the tables
+    the essays share and ESSAY_HALF_BYTES for each essay's own peak.
+    Raises PoolTooLarge when t is outside 1..MAX_T or the estimate exceeds
+    the machine's physical memory, before anything is allocated.
     """
     if not 1 <= t <= MAX_T:
         raise PoolTooLarge(f"t must be in 1..{MAX_T} (4t <= 64 bits), got {t}")
-    need = BASE_BYTES + 2 * math.comb(2 * t, t) * HALF_BYTES
+    need = BASE_BYTES + 2 * math.comb(2 * t, t) * (SHARED_HALF_BYTES + jobs * ESSAY_HALF_BYTES)
     have = _physical_bytes()
     if need > have:
         raise PoolTooLarge(
-            f"t={t} needs about {need >> 20} MB for the neighbor pool, "
+            f"t={t} needs about {need >> 20} MB for the neighbor pool and {jobs} essay(s) at once, "
             f"more than the {have >> 20} MB of physical memory"
         )
     return need

@@ -18,7 +18,7 @@ from hadclique import (
     verify_clique,
     verify_ph,
 )
-from hadclique import exact, fast, ga
+from hadclique import exact, fast, ga, graph
 from hadclique.cli import EX_EMPTY, EX_OK, EX_USAGE, EX_VERIFY, _is_sign_matrix, main
 
 from published import GREEDY_CLIQUES
@@ -180,6 +180,20 @@ def test_report_body_does_not_depend_on_jobs(algorithm, t, essays, tmp_path, cap
         bodies.append("".join(line for line in lines if not line.startswith("#")))
     assert bodies[0] == bodies[1]
     assert f"essays: {essays}\n" in bodies[0]
+
+
+@pytest.mark.parametrize("algorithm", ["exact", "ga"])
+def test_search_refuses_jobs_whose_essays_do_not_fit(algorithm, tmp_path, monkeypatch):
+    # each job adds one essay's peak over the tables the workers share
+    monkeypatch.setattr(graph, "_physical_bytes", lambda: 1 << 62)
+    one, two, three = (graph.pool_bytes(5, jobs) for jobs in (1, 2, 3))
+    assert 0 < two - one == three - two < one
+    monkeypatch.setattr(graph, "_physical_bytes", lambda: two - 1)
+    argv = ["search", algorithm, "--t", "5", "--essays", "2"]
+    out = tmp_path / "refused.report"
+    assert main([*argv, "--jobs", "2", "--out", str(out)]) == EX_USAGE
+    assert not out.exists()
+    assert main([*argv, "--jobs", "1", "--out", str(out)]) == EX_OK
 
 
 def test_search_fast_with_seed_file(tmp_path, capsys):

@@ -72,6 +72,15 @@ def test_deterministic_under_seed_and_jobs():
     assert [e.clique.codes for e in a.essays] == [e.clique.codes for e in c.essays]
 
 
+def test_a_time_limited_forked_run_is_the_serial_prefix():
+    rep = run_exact(ExactSearchConfig(t=6, essays=1_000_000, rng_seed=5), jobs=2, time_limit=0.2)
+    n = len(rep.essays)
+    assert 2 <= n < 1_000_000
+    assert [e.index for e in rep.essays] == list(range(n))
+    serial = run_exact(ExactSearchConfig(t=6, essays=n, rng_seed=5))
+    assert [e.clique for e in rep.essays] == [e.clique for e in serial.essays]
+
+
 def test_distinct_seeds_vary():
     a = run_exact(ExactSearchConfig(t=4, essays=1, rng_seed=0))
     b = run_exact(ExactSearchConfig(t=4, essays=1, rng_seed=1))
