@@ -29,7 +29,6 @@ from .graph import (
     Clique,
     VertexCode,
     adjacency,
-    adjacency_profile,
     class_size,
     clique_from_codes,
     coincidence_range,

@@ -158,6 +158,8 @@ def _human_report(rep: SearchReport) -> None:
 def cmd_search(args: argparse.Namespace) -> int:
     if args.t is None or args.t < 1:
         raise _Usage("search needs --t >= 1")
+    if args.seed_file and args.algorithm != "fast":
+        raise _Usage(f"--seed-file seeds only search fast, not {args.algorithm}")
     seed = _effective_seed(args)
     try:
         if args.algorithm == "exact":

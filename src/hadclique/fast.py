@@ -78,21 +78,11 @@ class FastConfig:
 
 
 @lru_cache(maxsize=None)
-def _completions(lo: int, hi: int, r: int, need: int) -> int:
-    if r == 0:
-        return 1 if need == 0 else 0
-    total = 0
-    for v in range(lo, hi + 1, 2):
-        if v <= need:
-            total += _completions(lo, hi, r - 1, need - v)
-    return total
-
-
 def completions(ladder: range, r: int, need: int) -> int:
     """Ordered r-tuples over the ladder summing to need."""
-    if len(ladder) == 0:
-        return 1 if r == 0 and need == 0 else 0
-    return _completions(ladder.start, ladder[-1], r, need)
+    if r == 0:
+        return int(need == 0)
+    return sum(completions(ladder, r - 1, need - v) for v in ladder if v <= need)
 
 
 def feasible_targets(
@@ -304,9 +294,9 @@ def run_fast(seed: Clique, cfg: FastConfig) -> Clique:
 def run_many(
     seed: Clique, cfg: FastConfig, essays: int, jobs: int = 1, time_limit: float | None = None
 ) -> SearchReport:
-    """Independent run_fast calls through report.run_essays, which holds the wave
-    and time_limit rules. Run i uses rng_seed + i, so jobs never changes
-    results.
+    """Independent run_fast calls through report.run_essays, which holds the
+    worker and time_limit rules. Run i uses rng_seed + i, so jobs never
+    changes results.
     """
 
     def one(i: int) -> EssayResult:

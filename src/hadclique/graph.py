@@ -59,10 +59,10 @@ import ctypes
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate, permutations
+from functools import lru_cache, reduce
+from itertools import accumulate, combinations_with_replacement, permutations
 from random import Random
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -79,9 +79,6 @@ __all__ = [
     "MAX_T",
     "VertexCode",
     "Clique",
-    "CoincidenceTuple",
-    "GeneratorSet",
-    "AdjacencyProfile",
     "decode",
     "clique_from_codes",
     "orthogonal_codes",
@@ -97,7 +94,6 @@ __all__ = [
     "distinct_orderings",
     "generator_set",
     "count_orthogonal",
-    "adjacency_profile",
     "degree",
     "edge_count",
     "adjacency",
@@ -135,47 +131,6 @@ class Clique:
     @property
     def codes(self) -> list[int]:
         return [v.code for v in self.members]
-
-
-@dataclass(frozen=True, slots=True)
-class CoincidenceTuple:
-    """Unordered per-quarter total-coincidence counts, stored ascending."""
-
-    alphas: tuple[int, int, int, int]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.alphas)
-
-    def total(self) -> int:
-        return sum(self.alphas)
-
-
-@dataclass(frozen=True, slots=True)
-class GeneratorSet:
-    """Per-quarter pattern pools for one ordered coincidence assignment.
-
-    Juxtaposing one pattern from each pool (quarter 1 contributing the most
-    significant t bits) yields a vector orthogonal to ``vertex``; distinct
-    choices yield distinct vectors, so the class contributes the product of
-    the pool sizes to the neighbor count.
-    """
-
-    vertex: VertexCode
-    s: int
-    ordered_alphas: tuple[int, int, int, int]
-    quarters: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-
-    def size(self) -> int:
-        return math.prod(len(q) for q in self.quarters)
-
-
-@dataclass(frozen=True, slots=True)
-class AdjacencyProfile:
-    """Counts of s-vector neighbors of a k-vertex, for s in [0, t//2]."""
-
-    t: int
-    k: int
-    counts: Mapping[int, int]
 
 
 # --- codes -----------------------------------------------------------------
@@ -281,42 +236,26 @@ def coincidence_range(t: int, a: int, b: int) -> range:
 # --- diophantine distributions ---------------------------------------------
 
 
-def solve_distributions(t: int, k: int, s: int) -> tuple[CoincidenceTuple, ...]:
+def solve_distributions(t: int, k: int, s: int) -> tuple[tuple[int, int, int, int], ...]:
     """All unordered 4-tuples of ladder values summing to 2t, ascending.
 
-    Solutions exist iff 4*alpha_0 <= 2t <= 4*alpha_n.  The enumeration runs
-    three nested loops over ladder values (step 2), each clamped so the
-    remaining quarters can still reach 2t; the published loop bound alpha_1
-    for the first variable excludes valid minimal-value solutions (e.g.
-    t=5, k=2, s=1 whose only tuple (2,2,2,4) contains alpha_0 = 2) and is
-    corrected to alpha_0 here.
+    Solutions exist iff 4*alpha_0 <= 2t <= 4*alpha_n.  Each ascending
+    triple (a, b, c) of ladder values is completed by d = 2t - a - b - c
+    when c <= d and d is on the ladder.  The first value runs from alpha_0,
+    not the published bound alpha_1, which misses (2, 2, 2, 4) at t = 5,
+    k = 2, s = 1.
     """
     ladder = coincidence_range(t, k, s)
-    lo, hi = ladder.start, ladder[-1] if len(ladder) else ladder.start
-    if len(ladder) == 0:
-        return ()
-    total = 2 * t
-
-    def clamp_lo(bound: int) -> int:
-        # smallest ladder-parity value >= max(bound, lo)
-        v = max(bound, lo)
-        return v + ((v - lo) % 2)
-
-    out: list[CoincidenceTuple] = []
-    for a in range(clamp_lo(total - 3 * hi), min(hi, total // 4) + 1, 2):
-        for b in range(clamp_lo(max(a, total - a - 2 * hi)), min(hi, (total - a) // 3) + 1, 2):
-            for c in range(
-                clamp_lo(max(b, total - a - b - hi)), min(hi, (total - a - b) // 2) + 1, 2
-            ):
-                d = total - a - b - c
-                if c <= d <= hi:
-                    out.append(CoincidenceTuple(alphas=(a, b, c, d)))
-    return tuple(out)
+    return tuple(
+        (a, b, c, d)
+        for a, b, c in combinations_with_replacement(ladder, 3)
+        if c <= (d := 2 * t - a - b - c) and d in ladder
+    )
 
 
-def distinct_orderings(ct: CoincidenceTuple) -> tuple[tuple[int, int, int, int], ...]:
+def distinct_orderings(alphas: Sequence[int]) -> tuple[tuple[int, int, int, int], ...]:
     """Distinct quarter assignments of an unordered tuple, sorted."""
-    return tuple(sorted(set(permutations(ct.alphas))))
+    return tuple(sorted(set(permutations(alphas))))
 
 
 # --- generator pools ---------------------------------------------------------
@@ -336,38 +275,35 @@ def _pool(ref_quarter: int, t: int, weight: int, on_ones: int, in_ones: bool) ->
     return tuple(masks[np.bitwise_count(overlap) == on_ones].tolist())
 
 
-def generator_set(v: VertexCode, ordered_alphas: Sequence[int], s: int) -> GeneratorSet:
-    """Pools of quarter patterns realizing one ordered coincidence tuple.
+def generator_set(
+    v: VertexCode, ordered_alphas: Sequence[int], s: int
+) -> tuple[tuple[int, ...], ...]:
+    """The four pools of quarter patterns realizing one ordered coincidence tuple.
 
     ``ordered_alphas`` assigns a total-coincidence count to each quarter of
     an s-vector against v.  The unordered tuple alone does not pin down s
     (one multiset can solve the system for two different s), so s is an
     explicit argument.  Pool q holds every t-bit pattern of the s-vector's
     quarter-q weight meeting the demanded count; sizes are
-    C(k, i) * C(t-k, s-i) with i = (alpha - t + k + s) / 2.
+    C(k, i) * C(t-k, s-i) with i = (alpha - t + k + s) / 2.  Juxtaposing one
+    pattern from each pool (quarter 1 the most significant t bits) yields a
+    vector orthogonal to v, distinct choices distinct vectors, so the class
+    holds the product of the pool sizes.
     """
     t, k = v.t, v.k
     if len(ordered_alphas) != 4:
         raise InfeasibleQuarter("need one coincidence count per quarter")
-    vq = quarters_of(v.code, t)
-    cand_weights = (s, t - s, t - s, s)
     ladder = coincidence_range(t, k, s)
     pools = []
-    for q in range(4):
-        alpha = ordered_alphas[q]
+    for q, (alpha, ref, weight) in enumerate(
+        zip(ordered_alphas, quarters_of(v.code, t), (s, t - s, t - s, s))
+    ):
         if alpha not in ladder:
             raise InfeasibleQuarter(
-                f"quarter {q + 1}: {alpha} total coincidences outside "
-                f"[{ladder.start}, {ladder[-1] if len(ladder) else ladder.start}] step 2"
+                f"quarter {q + 1}: {alpha} total coincidences outside {list(ladder)}"
             )
-        i = (alpha - t + k + s) // 2
-        pools.append(_pool(vq[q], t, cand_weights[q], i, in_ones=q in (0, 3)))
-    return GeneratorSet(
-        vertex=v,
-        s=s,
-        ordered_alphas=tuple(ordered_alphas),
-        quarters=(pools[0], pools[1], pools[2], pools[3]),
-    )
+        pools.append(_pool(ref, t, weight, (alpha - t + k + s) // 2, in_ones=q in (0, 3)))
+    return tuple(pools)
 
 
 # --- exact counting ----------------------------------------------------------
@@ -379,47 +315,28 @@ def count_orthogonal(t: int, k: int, s: int) -> int:
     Sums the product of per-quarter binomials C(k, i_q) * C(t-k, s-i_q)
     over ordered (i_1, .., i_4) with sum 2s+2k-t; computed as one
     coefficient of the fourth power of the single-quarter generating
-    polynomial.  Zero when 2s+2k-t < 0.
+    polynomial, over Python ints (the counts pass 2^53 at t = 16).  Zero
+    when 2s+2k-t < 0.
     """
-    target = 2 * s + 2 * k - t
-    if target < 0:
-        return 0
     lo, hi = max(0, s + k - t), min(k, s)
     if hi < lo:
         return 0
     f = [math.comb(k, i) * math.comb(t - k, s - i) for i in range(lo, hi + 1)]
-    acc = [1]
-    for _ in range(4):
-        acc = [
-            sum(acc[j] * f[i - j] for j in range(max(0, i - len(f) + 1), min(i, len(acc) - 1) + 1))
-            for i in range(len(acc) + len(f) - 1)
-        ]
-    idx = target - 4 * lo
-    return acc[idx] if 0 <= idx < len(acc) else 0
-
-
-def adjacency_profile(t: int, k: int) -> AdjacencyProfile:
-    if not 0 <= k <= t // 2:
-        raise KOutOfRange(f"k={k} outside [0, {t // 2}] for t={t}")
-    counts = {s: count_orthogonal(t, k, s) for s in range(t // 2 + 1)}
-    return AdjacencyProfile(t=t, k=k, counts=counts)
+    power = reduce(np.convolve, [np.array(f, dtype=object)] * 4)
+    idx = 2 * s + 2 * k - t - 4 * lo
+    return power[idx] if 0 <= idx < len(power) else 0
 
 
 def degree(t: int, k: int) -> int:
     """Total neighbors of a k-vertex over the full vertex set.
 
     Complementation gives N(k, s) = N(k, t-s) and degree(k) = degree(t-k),
-    so only s <= t//2 is counted directly; for t even the s = t/2 class is
-    its own complement image and enters once.
+    so every class is counted as its image with k, s <= t//2.
     """
     if not 0 <= k <= t:
         raise KOutOfRange(f"k={k} outside [0, {t}]")
     kp = min(k, t - k)
-    if t % 2:
-        return 2 * sum(count_orthogonal(t, kp, s) for s in range((t - 1) // 2 + 1))
-    return 2 * sum(count_orthogonal(t, kp, s) for s in range(t // 2)) + count_orthogonal(
-        t, kp, t // 2
-    )
+    return sum(count_orthogonal(t, kp, min(s, t - s)) for s in range(t + 1))
 
 
 def edge_count(t: int) -> int:
@@ -429,9 +346,8 @@ def edge_count(t: int) -> int:
 # --- adjacency enumeration ---------------------------------------------------
 
 
-def _combine_pools(gs: GeneratorSet) -> np.ndarray:
-    t = gs.vertex.t
-    q1, q2, q3, q4 = (np.asarray(p, dtype=np.uint64) for p in gs.quarters)
+def _combine_pools(pools: Sequence[Sequence[int]], t: int) -> np.ndarray:
+    q1, q2, q3, q4 = (np.asarray(p, dtype=np.uint64) for p in pools)
     codes = (
         (q1[:, None, None, None] << np.uint64(3 * t))
         | (q2[None, :, None, None] << np.uint64(2 * t))
@@ -456,9 +372,9 @@ def adjacency(v: VertexCode) -> np.ndarray:
     mask = np.uint64(full_mask(t))
     chunks = []
     for s in s_range(t, base.k):
-        for ct in solve_distributions(t, base.k, s):
-            for ordered in distinct_orderings(ct):
-                block = _combine_pools(generator_set(base, ordered, s))
+        for alphas in solve_distributions(t, base.k, s):
+            for ordered in distinct_orderings(alphas):
+                block = _combine_pools(generator_set(base, ordered, s), t)
                 chunks.append(block)
                 if 2 * s < t:
                     chunks.append(block ^ mask)

@@ -12,6 +12,7 @@ whose orders sum to 4t is a partial Hadamard matrix of depth
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -174,25 +175,10 @@ def _is_odd_prime(n: int) -> bool:
 def _decompose(t: int) -> tuple[int, ...] | None:
     """2t - i as a sum of i odd primes, i in {2, 3}; maximize min(p)."""
     for i in (2, 3):
-        target = 2 * t - i
-        best: tuple[int, ...] | None = None
-        primes = [p for p in range(3, target) if _is_odd_prime(p)]
-        if i == 2:
-            combos = [(a, b) for a in primes for b in primes if a <= b and a + b == target]
-        else:
-            combos = [
-                (a, b, c)
-                for a in primes
-                for b in primes
-                if a <= b
-                for c in primes
-                if b <= c and a + b + c == target
-            ]
-        for ps in combos:
-            if best is None or (min(ps), ps) > (min(best), best):
-                best = ps
-        if best is not None:
-            return best
+        primes = [p for p in range(3, 2 * t - i) if _is_odd_prime(p)]
+        sums = [ps for ps in combinations_with_replacement(primes, i) if sum(ps) == 2 * t - i]
+        if sums:
+            return max(sums, key=lambda ps: (min(ps), ps))
     return None
 
 

@@ -103,7 +103,7 @@ def test_criterion_05_worked_example_fidelity():
     for s in (1, 2):
         for d in solve_distributions(5, 2, s):
             gs = generator_set(v, distinct_orderings(d)[0], s)
-            ok &= math.prod(len(p) for p in gs.quarters) == want_products[tuple(d)]
+            ok &= math.prod(len(p) for p in gs) == want_products[tuple(d)]
     check(5, "worked example: distributions and generator pool sizes", ok)
 
 

@@ -75,6 +75,13 @@ def test_usage_errors_exit_64(capsys):
     assert main(["search", "ga", "--t", "17"]) == EX_USAGE
     assert main(["search", "exact", "--t", "3", "--jobs", "0"]) == EX_USAGE
     assert main(["search", "exact", "--t", "3", "--jobs", "-2"]) == EX_USAGE
+    with open("seed.clq", "w") as fh:
+        fh.write("3\n")
+    for algorithm in ("exact", "ga"):
+        out = f"{algorithm}.report"
+        argv = ["search", algorithm, "--t", "3", "--seed-file", "seed.clq", "--out", out]
+        assert main(argv) == EX_USAGE
+        assert not os.path.exists(out)
     with open("big.clq", "w") as fh:
         fh.write("17\n")
     assert main(["extend", "big.clq", "--algorithm", "fast"]) == EX_USAGE

@@ -13,7 +13,6 @@ from hadclique import (
     VertexCode,
     WeightError,
     adjacency,
-    adjacency_profile,
     class_size,
     clique_from_codes,
     coincidence_range,
@@ -33,6 +32,8 @@ from hadclique import (
     solve_distributions,
     vertex_count,
 )
+from hadclique.errors import InfeasibleQuarter
+from hadclique.graph import vertex_pool
 
 from published import CENSUS, ORTHOGONAL_COUNTS
 
@@ -127,6 +128,15 @@ def test_degrees_match_census():
     for t, (_, degs, _, _) in CENSUS.items():
         for k, want in enumerate(degs):
             assert degree(t, k) == want
+
+
+def test_degrees_match_the_kernel():
+    # binomial polynomials against meet-in-the-middle halves, past the
+    # published tables (t <= 10)
+    for t in range(1, 13):
+        for k in range(t + 1):
+            v = random_vertex(t, Random(t), k=k)
+            assert degree(t, k) == vertex_pool(t).refine(v.code).size, (t, k)
 
 
 def test_edge_counts():
@@ -269,7 +279,7 @@ def test_generator_pool_sizes_worked_example():
         for d in solve_distributions(5, 2, s):
             ordered = distinct_orderings(d)[0]
             gs = generator_set(v, ordered, s)
-            sizes[tuple(d)] = tuple(sorted(len(p) for p in gs.quarters))
+            sizes[tuple(d)] = tuple(sorted(len(p) for p in gs))
     assert sizes == {
         (2, 2, 2, 4): (2, 3, 3, 3),
         (1, 1, 3, 5): (1, 3, 3, 6),
@@ -285,17 +295,16 @@ def test_generator_sets_partition_the_adjacency_counts(v):
         total = 0
         for d in solve_distributions(t, k, s):
             for ordered in distinct_orderings(d):
-                total += generator_set(v, ordered, s).size()
+                total += math.prod(map(len, generator_set(v, ordered, s)))
         assert total == count_orthogonal(t, k, s)
 
 
-def test_adjacency_profile_covers_generated_classes():
-    for t in range(2, 8):
-        for k in range(t // 2 + 1):
-            prof = adjacency_profile(t, k)
-            assert set(prof.counts) == set(range(t // 2 + 1))
-            for s, n in prof.counts.items():
-                assert n == count_orthogonal(t, k, s)
+def test_generator_set_rejects_infeasible_quarters():
+    v = decode(684646, 5)
+    with pytest.raises(InfeasibleQuarter):
+        generator_set(v, (2, 2, 2), 1)  # one count short
+    with pytest.raises(InfeasibleQuarter):
+        generator_set(v, (2, 2, 3, 3), 1)  # 3 is off the ladder 2, 4
 
 
 # -- sampling ---------------------------------------------------------------

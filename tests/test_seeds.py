@@ -113,7 +113,8 @@ def test_format_ingest_roundtrip():
 
 def test_paley_seed_sizes():
     # 2 min(p) - 1 rows survive truncation, minus 3 canonical = clique size
-    for t, want in [(4, 5), (5, 5), (6, 9), (7, 9), (8, 13), (9, 9), (10, 13)]:
+    sizes = [5, 5, 9, 9, 13, 9, 13, 13, 21, 21, 25, 21, 25]
+    for t, want in zip(range(4, 17), sizes):
         c = paley_seed(t)
         assert c.t == t
         assert len(c) == want, t
@@ -121,7 +122,7 @@ def test_paley_seed_sizes():
 
 
 def test_paley_seed_small_t_impossible():
-    for t in (2, 3):
+    for t in (1, 2, 3):
         with pytest.raises(NoDecomposition):
             paley_seed(t)
 
