@@ -161,6 +161,9 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.seed_file and args.algorithm != "fast":
         raise _Usage(f"--seed-file seeds only search fast, not {args.algorithm}")
     seed = _effective_seed(args)
+    base = read_clique(args.seed_file) if args.seed_file else Clique(t=args.t, members=())
+    if base.t != args.t:
+        raise _Usage(f"--seed-file holds a G_{base.t} clique but --t is {args.t}")
     try:
         if args.algorithm == "exact":
             cfg = exact.ExactSearchConfig(t=args.t, essays=args.essays, rng_seed=seed)
@@ -177,7 +180,6 @@ def cmd_search(args: argparse.Namespace) -> int:
             rep = ga.run_many(gcfg, essays=args.essays, jobs=args.jobs,
                               time_limit=args.time_limit)
         else:
-            base = read_clique(args.seed_file) if args.seed_file else Clique(t=args.t, members=())
             fcfg = fast.FastConfig(t=args.t, rng_seed=seed)
             rep = fast.run_many(base, fcfg, essays=args.essays, jobs=args.jobs,
                                 time_limit=args.time_limit)

@@ -5,7 +5,9 @@ its clique as a graph.NeighborPool: the neighbors of the start vertex,
 refined by each pick. A pick is a uniform rank in the pool, the same rank
 into the same ascending set as in a materialized, sorted neighbor array, so
 nothing of size degree(t, k) is ever built. The returned clique is maximal
-by construction: the essay only stops when the pool is empty.
+by construction: the essay only stops when the pool is empty. It holds its
+members as the int codes the pool returns, which is all a finished essay
+keeps of them.
 """
 
 from __future__ import annotations
@@ -78,26 +80,27 @@ def _filter_pool(
     return pool.refine(*codes)
 
 
-def _grow(anchor: VertexCode, members: Sequence[VertexCode], rng: Random) -> Clique:
-    """A maximal clique: anchor, then members, then the picks.
+def _grow(anchor: VertexCode, members: Sequence[int], rng: Random) -> Clique:
+    """A maximal clique: anchor's code, then the member codes, then the picks.
 
     members must be pairwise orthogonal and orthogonal to anchor. With no
     members the pool is the neighbors of anchor; otherwise it is the whole
     vertex pool refined by anchor and members in one call, which batches
     them. Each pick is a uniform rank in the pool, which is then refined by
-    the pick, until the pool is empty. Only the picks are decoded.
+    the pick, until the pool is empty. A pick is kept as the int code_at
+    returns: every code in a pool is a vertex of G_t, so none is decoded.
     """
     t = anchor.t
     if members:
-        pool = _filter_pool(vertex_pool(t), anchor.code, *(v.code for v in members))
+        pool = _filter_pool(vertex_pool(t), anchor.code, *members)
     else:
         pool = adjacency(anchor)
-    picks = []
+    codes = [anchor.code, *members]
     while pool.size:
         pick = pool.code_at(rng.randrange(pool.size))
-        picks.append(pick)
+        codes.append(pick)
         pool = _filter_pool(pool, pick)
-    return Clique(t=t, members=(anchor, *members, *(decode(code, t) for code in picks)))
+    return Clique(t=t, members=tuple(codes))
 
 
 def _greedy_essay(cfg: ExactSearchConfig, index: int) -> EssayResult:
@@ -140,13 +143,13 @@ def extend_exact(c: Clique, rng: Random) -> Clique:
 
     An empty c starts a fresh essay from a random vertex. The input members
     are validated first and an invalid clique is rejected; they are kept
-    as given, and only the new picks are decoded. The pool is held as
-    halves and never materialized; graph.vertex_pool raises PoolTooLarge
-    for a t past graph.pool_bytes before it allocates.
+    as given, and the new picks follow them. The pool is held as halves
+    and never materialized; graph.vertex_pool raises PoolTooLarge for a t
+    past graph.pool_bytes before it allocates.
     """
     rep = verify_clique(c)
     if not rep:
         raise InvalidClique(rep.message)
     if c.members:
-        return _grow(c.members[0], c.members[1:], rng)
+        return _grow(decode(c.members[0], c.t), c.members[1:], rng)
     return _grow(_random_start(c.t, rng), (), rng)

@@ -34,9 +34,7 @@ from .errors import HadcliqueError, InvalidSeed
 from .graph import (
     MAX_T,
     Clique,
-    VertexCode,
     coincidence_range,
-    decode,
     join_quarters,
     orthogonal_codes,
     quarters_of,
@@ -174,8 +172,8 @@ def _inner_search(
     return int(rows[rng.randrange(rows.size)])
 
 
-def buildgrapas(c: Clique, k: int, cfg: FastConfig, rng: Random) -> VertexCode | None:
-    """Try to construct one new class-k vertex orthogonal to all of c.
+def buildgrapas(c: Clique, k: int, cfg: FastConfig, rng: Random) -> int | None:
+    """Try to construct the code of one new class-k vertex orthogonal to all of c.
 
     The candidate uses s = k ones in its outer quarters. Quarters are built
     in random order; each member's coincidence target for the current
@@ -185,10 +183,12 @@ def buildgrapas(c: Clique, k: int, cfg: FastConfig, rng: Random) -> VertexCode |
     (which on the last quarter forces exact closure, hence orthogonality).
     When no such mask exists the previous quarter is deleted and rebuilt,
     at most t times per attempt, with ATTEMPTS_PER_VECTOR attempts overall.
-    Returns None when every attempt fails; a returned vertex is always
-    orthogonal to every member.
+    Returns None when every attempt fails; a returned code is always a
+    class-k vertex orthogonal to every member.
 
-    The members do not change during a call, so each quarter's
+    Each member's class, which sets its ladder, is the weight of its top
+    quarter, read from the quarters the call splits anyway, so no member
+    is decoded. The members do not change during a call, so each quarter's
     (masks x members) coincidences are computed once, on first use, and
     serve every attempt and backtrack. Which masks are valid depends only
     on the quarter and the per-member allowed bitmasks, not on the targets,
@@ -204,9 +204,8 @@ def buildgrapas(c: Clique, k: int, cfg: FastConfig, rng: Random) -> VertexCode |
     if not 0 <= k <= t // 2:
         return None
     s = k
-    codes = [v.code for v in c.members]
-    quarters = [quarters_of(code, t) for code in codes]
-    ladders = [coincidence_range(t, v.k, s) for v in c.members]
+    quarters = [quarters_of(code, t) for code in c.members]
+    ladders = [coincidence_range(t, qs[0].bit_count(), s) for qs in quarters]
     for ladder in ladders:
         if not (4 * ladder.start <= 2 * t <= 4 * ladder[-1]):
             return None
@@ -224,7 +223,7 @@ def buildgrapas(c: Clique, k: int, cfg: FastConfig, rng: Random) -> VertexCode |
         rng.shuffle(order)
         built = [0, 0, 0, 0]
         picked: list[list[int]] = [[], [], [], []]  # per position, the mask's coincidences
-        committed = [0] * len(codes)
+        committed = [0] * len(c)
         backtracks = 0
         pos = 0
         while 0 <= pos < 4:
@@ -257,9 +256,9 @@ def buildgrapas(c: Clique, k: int, cfg: FastConfig, rng: Random) -> VertexCode |
             pos += 1
         if pos == 4:
             code = join_quarters(built, t)
-            if not all(orthogonal_codes(code, m, t) for m in codes):
+            if not all(orthogonal_codes(code, m, t) for m in c.members):
                 raise HadcliqueError(f"constructed code {code} is not orthogonal to every member")
-            return decode(code, t)
+            return code
     return None
 
 
@@ -282,11 +281,11 @@ def run_fast(seed: Clique, cfg: FastConfig) -> Clique:
     for k in [x for x in (t // 2, t // 2 - 1) if x >= 0]:
         stall = 0
         while stall < t and len(members) < 4 * t - 3:
-            v = buildgrapas(Clique(t=t, members=tuple(members)), k, cfg, rng)
-            if v is None:
+            code = buildgrapas(Clique(t=t, members=tuple(members)), k, cfg, rng)
+            if code is None:
                 stall += 1
             else:
-                members.append(v)
+                members.append(code)
                 stall = 0
     return Clique(t=t, members=tuple(members))
 

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import HadcliqueError
-from .graph import Clique, clique_from_codes
+from .graph import Clique, clique_from_codes, decode
 from .oracle import verify_clique
 from .report import SearchReport
 
@@ -86,7 +86,7 @@ def _report_lines(rep: SearchReport) -> Iterator[str]:
     yield f"best.essay: {rep.best_essay}"
     yield f"best.size: {len(rep.best)}"
     yield f"best.members: {' '.join(str(c) for c in rep.best.codes)}"
-    yield f"best.k: {' '.join(str(v.k) for v in rep.best.members)}"
+    yield f"best.k: {' '.join(str(decode(code, rep.t).k) for code in rep.best.members)}"
     yield f"depth.rows: {rep.depth}"
     yield f"depth.threshold_third: {rep.third_threshold}"
     yield f"depth.threshold_half: {rep.half_threshold}"

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from .errors import BothEmpty, HadcliqueError
 from .exact import extend_exact
-from .graph import Clique, VertexCode, pool_bytes, random_vertex, vertex_pool
+from .graph import Clique, pool_bytes, random_vertex, vertex_pool
 from .report import EssayResult, SearchReport, run_essays, utc_stamp
 
 __all__ = ["GaConfig", "Chromosome", "crossover", "repair", "mutate", "run_ga", "run_many"]
@@ -61,8 +61,8 @@ class Chromosome:
         return len(self.clique)
 
 
-def crossover(a: Chromosome, b: Chromosome, rng: Random) -> list[VertexCode]:
-    """Slot-wise mix of the parents, biased toward the fitter one.
+def crossover(a: Chromosome, b: Chromosome, rng: Random) -> list[int]:
+    """Slot-wise mix of the parents' member codes, biased toward the fitter one.
 
     Slot i comes from parent a with probability fit(a)/(fit(a)+fit(b));
     when the chosen parent has no member at i the other parent fills in,
@@ -72,7 +72,7 @@ def crossover(a: Chromosome, b: Chromosome, rng: Random) -> list[VertexCode]:
     if fa + fb == 0:
         raise BothEmpty("crossover needs at least one nonempty parent")
     weight = fa / (fa + fb)
-    out: list[VertexCode] = []
+    out: list[int] = []
     for i in range(max(fa, fb)):
         first, second = (a, b) if rng.random() < weight else (b, a)
         src = first if i < first.fitness else second
@@ -80,25 +80,21 @@ def crossover(a: Chromosome, b: Chromosome, rng: Random) -> list[VertexCode]:
     return out
 
 
-def repair(t: int, members: Sequence[VertexCode], rng: Random) -> Clique:
-    """Delete members at random until the remainder is pairwise orthogonal.
+def repair(t: int, members: Sequence[int], rng: Random) -> Clique:
+    """Delete member codes at random until the remainder is pairwise orthogonal.
 
     Duplicates are removed first. Then, while a conflict exists, a uniform
     member u is drawn: with probability 1/2 u itself is deleted, otherwise
     every member not orthogonal to u is deleted. Terminates with
     probability 1; an empty input yields the empty clique.
     """
-    first: dict[int, VertexCode] = {}
-    for v in members:
-        first.setdefault(v.code, v)
-    pool = list(first.values())
+    pool = list(dict.fromkeys(members))
     # clash[c]: the codes in the pool not orthogonal to code c, kept current
     # as members leave, so a step need not scan every pair
-    codes = list(first)
-    clash: dict[int, set[int]] = {code: set() for code in codes}
+    clash: dict[int, set[int]] = {code: set() for code in pool}
     agree = 2 * t
-    for i, a in enumerate(codes):
-        for b in codes[i + 1 :]:
+    for i, a in enumerate(pool):
+        for b in pool[i + 1 :]:
             if (a ^ b).bit_count() != agree:
                 clash[a].add(b)
                 clash[b].add(a)
@@ -113,18 +109,18 @@ def repair(t: int, members: Sequence[VertexCode], rng: Random) -> Clique:
         u = pool[rng.randrange(len(pool))]
         if rng.random() < 0.5:
             pool.remove(u)
-            pairs -= drop(u.code)
+            pairs -= drop(u)
         else:
-            gone = clash[u.code]
-            pool = [w for w in pool if w.code not in gone]
+            gone = clash[u]
+            pool = [w for w in pool if w not in gone]
             for code in list(gone):
                 pairs -= drop(code)
     return Clique(t=t, members=tuple(pool))
 
 
-def mutate(c: Clique, p_m: float, rng: Random) -> list[VertexCode]:
-    """Resample each member with probability p_m as a fresh random vertex."""
-    return [random_vertex(c.t, rng) if rng.random() < p_m else v for v in c.members]
+def mutate(c: Clique, p_m: float, rng: Random) -> list[int]:
+    """Resample each member code with probability p_m as a fresh random vertex's."""
+    return [random_vertex(c.t, rng).code if rng.random() < p_m else v for v in c.members]
 
 
 def _tournament(pop: list[Chromosome], p_b: float, rng: Random) -> Chromosome:

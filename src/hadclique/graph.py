@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import operator
 import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -108,7 +109,11 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class VertexCode:
-    """A vertex of G_t: integer code plus its quarter class k."""
+    """One vertex of G_t: integer code plus its quarter class k.
+
+    A single vertex's type, as decode and random_vertex return it; a
+    Clique holds its members as bare codes.
+    """
 
     t: int
     code: int
@@ -117,20 +122,25 @@ class VertexCode:
 
 @dataclass(frozen=True, slots=True)
 class Clique:
-    """An ordered list of pairwise-orthogonal vertices sharing one t."""
+    """An ordered list of pairwise-orthogonal vertices of one G_t.
+
+    Members are held as plain int codes: a member's class k is the weight
+    of its top quarter (see decode), so no label is stored, and a search
+    that keeps every finished essay's clique keeps one int per member.
+    """
 
     t: int
-    members: tuple[VertexCode, ...]
+    members: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.members)
 
-    def __iter__(self) -> Iterator[VertexCode]:
+    def __iter__(self) -> Iterator[int]:
         return iter(self.members)
 
     @property
     def codes(self) -> list[int]:
-        return [v.code for v in self.members]
+        return list(self.members)
 
 
 # --- codes -----------------------------------------------------------------
@@ -177,8 +187,11 @@ def decode(code: int, t: int) -> VertexCode:
 
 
 def clique_from_codes(t: int, codes: Sequence[int]) -> Clique:
-    """Decode a list of integer codes into a Clique (no orthogonality check)."""
-    return Clique(t=t, members=tuple(decode(c, t) for c in codes))
+    """Validate each code as a vertex of G_t and keep it as a plain int.
+
+    Orthogonality is not checked.
+    """
+    return Clique(t=t, members=tuple(decode(operator.index(c), t).code for c in codes))
 
 
 def orthogonal_codes(a: int, b: int, t: int) -> bool:

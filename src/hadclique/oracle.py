@@ -108,25 +108,26 @@ def brute_adjacency_codes(v: VertexCode) -> np.ndarray:
 
 
 def verify_clique(c: Clique) -> Report:
-    """Check members decode and are pairwise distinct and orthogonal.
+    """Check members are int codes of G_t, pairwise distinct and orthogonal.
 
-    The first violating pair (or member) is named in the report; a clique
-    of 0 or 1 valid members passes. No clique passes when t < 1, since
-    there is no such G_t.
+    Each member must be a plain int (not a bool, a numpy integer or a
+    vertex record) that decodes as a vertex of G_t. The first violating pair
+    (or member) is named in the report; a clique of 0 or 1 valid members
+    passes. No clique passes when t < 1, since there is no such G_t.
     """
     if c.t < 1:
         return Report(False, f"t must be positive, got {c.t}")
-    for idx, v in enumerate(c.members):
+    for idx, code in enumerate(c.members):
+        if type(code) is not int:
+            return Report(False, f"member {idx} ({code!r}) is not an int code")
         try:
-            d = decode(v.code, c.t)
+            decode(code, c.t)
         except HadcliqueError as exc:
-            return Report(False, f"member {idx} (code {v.code}) invalid: {exc}")
-        if d.k != v.k or v.t != c.t:
-            return Report(False, f"member {idx} (code {v.code}) mislabeled (t={v.t}, k={v.k})")
+            return Report(False, f"member {idx} (code {code}) invalid: {exc}")
     n = len(c.members)
     for i in range(n):
         for j in range(i + 1, n):
-            a, b = c.members[i].code, c.members[j].code
+            a, b = c.members[i], c.members[j]
             if a == b:
                 return Report(False, f"members {i} and {j} are duplicates (code {a})")
             if (a ^ b).bit_count() != 2 * c.t:
@@ -158,8 +159,8 @@ def clique_to_matrix(c: Clique) -> SignMatrix:
     t = c.t
     n = 4 * t
     rows = [_canonical_rows(t)]
-    for v in c.members:
-        bits = np.array([(v.code >> (n - 1 - p)) & 1 for p in range(n)], dtype=np.int64)
+    for code in c.members:
+        bits = np.array([(code >> (n - 1 - p)) & 1 for p in range(n)], dtype=np.int64)
         rows.append((1 - 2 * bits)[None, :])
     return SignMatrix.from_array(np.concatenate(rows, axis=0))
 

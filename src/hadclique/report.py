@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from typing import Any, Callable
 
-from .graph import Clique, VertexCode
+from .graph import Clique
 
 __all__ = ["EssayResult", "SearchReport", "run_essays", "utc_stamp"]
 
@@ -214,8 +214,9 @@ def _run_forked(
     The parent only reads the pipes. It always joins the workers, and
     terminates them first when it raises, on an essay's error or its own.
     Pickling drops the sharing of equal members between essays, such as a
-    seed's members that every fast essay keeps, so the parent maps each
-    member back to the first equal one it received.
+    seed's codes that every fast essay keeps, so the parent maps each
+    member code back to the first equal int it received, and a code that
+    many essays hold is stored once.
     """
     from multiprocessing.connection import wait
 
@@ -223,7 +224,7 @@ def _run_forked(
     parent = os.getpid()
     workers, readers = [], []
     results: list[EssayResult] = []
-    shared: dict[VertexCode, VertexCode] = {}
+    shared: dict[int, int] = {}
     try:
         for _ in range(min(jobs, essays)):
             reader, writer = ctx.Pipe(duplex=False)

@@ -112,7 +112,7 @@ def matrix_to_clique(M: NormalizedMatrix | SignMatrix) -> Clique:
     A plain SignMatrix is accepted when its first three rows are already
     canonical. Entry -1 maps to bit 1, column 1 being the most significant
     bit; a row that is no valid vertex raises DecodeFailure carrying its
-    0-based row index.
+    0-based row index. Members are kept as the rows' int codes.
     """
     if isinstance(M, SignMatrix):
         M = NormalizedMatrix(M)
@@ -124,7 +124,7 @@ def matrix_to_clique(M: NormalizedMatrix | SignMatrix) -> Clique:
         for e in M.matrix.rows[r]:
             code = code << 1 | (e < 0)
         try:
-            members.append(decode(code, t))
+            members.append(decode(code, t).code)
         except HadcliqueError as exc:
             raise DecodeFailure(f"row {r} does not decode: {exc}", row=r) from exc
     return Clique(t=t, members=tuple(members))

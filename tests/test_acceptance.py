@@ -125,7 +125,7 @@ def test_criterion_07_maximality():
             members = set(e.clique.codes)
             common = None
             for v in e.clique.members:
-                nbrs = set(brute_adjacency_codes(v).tolist())
+                nbrs = set(brute_adjacency_codes(decode(v, t)).tolist())
                 common = nbrs if common is None else common & nbrs
                 if not common:
                     break

@@ -216,6 +216,26 @@ def test_search_fast_with_seed_file(tmp_path, capsys):
     assert "21930" in data["best.members"].split()
 
 
+def test_seed_file_of_another_t_is_a_usage_error(tmp_path, capsys):
+    seed = tmp_path / "paley4.clq"
+    assert main(["paley", "--t", "4", "--out", str(seed)]) == EX_OK
+    out = tmp_path / "fast.report"
+    assert main(["search", "fast", "--t", "5", "--seed-file", str(seed), "--out", str(out)]) == EX_USAGE
+    assert "G_4 clique but --t is 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_seed_file_failing_verification_exits_1(jobs, tmp_path, capsys):
+    seed = tmp_path / "twice.clq"
+    seed.write_text("4\n21930 21930\n")  # one vertex twice: it decodes, but is no clique
+    out = tmp_path / "fast.report"
+    argv = ["search", "fast", "--t", "4", "--essays", "2", "--jobs", jobs, "--seed-file", str(seed)]
+    assert main([*argv, "--out", str(out)]) == EX_VERIFY
+    assert "duplicates" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_clique_file(tmp_path, capsys):
     good = tmp_path / "good.clq"
     good.write_text("2\n166 101 106 169 60\n")

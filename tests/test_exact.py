@@ -49,7 +49,7 @@ def test_outputs_are_oracle_maximal():
             members = set(e.clique.codes)
             common = None
             for v in e.clique.members:
-                nbrs = set(brute_adjacency_codes(v).tolist())
+                nbrs = set(brute_adjacency_codes(decode(v, t)).tolist())
                 common = nbrs if common is None else common & nbrs
             assert not (common - members)
 

@@ -184,7 +184,7 @@ def test_buildgrapas_on_empty_clique_always_succeeds():
     for _ in range(5):
         v = buildgrapas(Clique(t=5, members=()), 2, cfg, rng)
         assert v is not None
-        assert decode(v.code, 5).k == 2
+        assert decode(v, 5).k == 2
 
 
 def test_buildgrapas_grows_a_clique_at_the_largest_t():
@@ -205,12 +205,12 @@ def test_buildgrapas_output_is_a_neighbor():
     rng = Random(1)
     anchor = decode(684646, 5)
     nbrs = set(brute_adjacency_codes(anchor).tolist())
-    c = Clique(t=5, members=(anchor,))
+    c = Clique(t=5, members=(anchor.code,))
     wins = 0
     for _ in range(100):
         v = buildgrapas(c, 2, cfg, rng)
         if v is not None:
-            assert v.code in nbrs
+            assert v in nbrs
             wins += 1
     assert wins == 100
 
@@ -233,7 +233,7 @@ def test_buildgrapas_fails_on_maximal_clique(monkeypatch):
 def test_buildgrapas_raises_on_a_non_orthogonal_construction(monkeypatch):
     # the final guard must survive python -O, so it cannot be an assert
     monkeypatch.setattr("hadclique.fast.orthogonal_codes", lambda a, b, t: False)
-    c = Clique(t=5, members=(decode(684646, 5),))
+    c = Clique(t=5, members=(684646,))
     with pytest.raises(HadcliqueError):
         buildgrapas(c, 2, FastConfig(t=5, rng_seed=0), Random(0))
 

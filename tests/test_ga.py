@@ -11,9 +11,9 @@ from hadclique import (
     Chromosome,
     Clique,
     GaConfig,
-    VertexCode,
     clique_from_codes,
     crossover,
+    decode,
     extend_exact,
     mutate,
     orthogonal_codes,
@@ -62,7 +62,7 @@ def test_crossover_child_slots_come_from_parents():
         child = crossover(a, b, rng)
         assert len(child) == 3
         parents = set(a.clique.codes) | set(b.clique.codes)
-        assert all(v.code in parents for v in child)
+        assert all(v in parents for v in child)
 
 
 def test_crossover_bias_favors_fitter_parent():
@@ -73,7 +73,7 @@ def test_crossover_bias_favors_fitter_parent():
     n = 4000
     for _ in range(n):
         child = crossover(a, b, rng)
-        hits += sum(1 for v in child if v.code in set(a.clique.codes))
+        hits += sum(1 for v in child if v in set(a.clique.codes))
     share = hits / (4 * n)
     assert 0.75 < share  # slot bias 4/5 plus fills from the longer parent
 
@@ -82,10 +82,10 @@ def test_crossover_bias_favors_fitter_parent():
 @settings(max_examples=40, deadline=None)
 def test_repair_always_yields_a_valid_clique(seed, t):
     rng = Random(seed)
-    members = [random_vertex(t, rng) for _ in range(rng.randrange(0, 9))]
+    members = [random_vertex(t, rng).code for _ in range(rng.randrange(0, 9))]
     fixed = repair(t, members, rng)
     assert verify_clique(fixed), fixed.codes
-    assert set(fixed.codes) <= {v.code for v in members}
+    assert set(fixed.codes) <= set(members)
 
 
 def test_repair_keeps_an_already_valid_clique():
@@ -96,24 +96,24 @@ def test_repair_keeps_an_already_valid_clique():
 
 def test_repair_drops_duplicates_first():
     rng = Random(1)
-    v = random_vertex(3, rng)
+    v = random_vertex(3, rng).code
     fixed = repair(3, [v, v, v], rng)
-    assert fixed.codes == [v.code]
+    assert fixed.codes == [v]
 
 
-def _rescanning_repair(t: int, members: Sequence[VertexCode], rng: Random) -> Clique:
+def _rescanning_repair(t: int, members: Sequence[int], rng: Random) -> Clique:
     """repair as it was first written: every pair rescanned after each deletion."""
     seen: set[int] = set()
-    pool: list[VertexCode] = []
+    pool: list[int] = []
     for v in members:
-        if v.code not in seen:
-            seen.add(v.code)
+        if v not in seen:
+            seen.add(v)
             pool.append(v)
 
     def conflicted() -> bool:
         for i in range(len(pool)):
             for j in range(i + 1, len(pool)):
-                if not orthogonal_codes(pool[i].code, pool[j].code, t):
+                if not orthogonal_codes(pool[i], pool[j], t):
                     return True
         return False
 
@@ -122,7 +122,7 @@ def _rescanning_repair(t: int, members: Sequence[VertexCode], rng: Random) -> Cl
         if rng.random() < 0.5:
             pool.remove(u)
         else:
-            pool = [w for w in pool if w.code == u.code or orthogonal_codes(u.code, w.code, t)]
+            pool = [w for w in pool if w == u or orthogonal_codes(u, w, t)]
     return Clique(t=t, members=tuple(pool))
 
 
@@ -141,7 +141,7 @@ def test_repair_replays_the_rescanning_loop(t, seed, kind):
         base = extend_exact(Clique(t=t, members=()), rng)
         members = mutate(base, rng.choice([0.1, 0.3, 0.6]), rng)
     else:
-        members = [random_vertex(t, rng) for _ in range(rng.randrange(0, 12))]
+        members = [random_vertex(t, rng).code for _ in range(rng.randrange(0, 12))]
     if kind == "duplicates" and members:
         members += [rng.choice(members) for _ in range(rng.randrange(1, 6))]
         rng.shuffle(members)
@@ -154,10 +154,10 @@ def test_repair_replays_the_rescanning_loop(t, seed, kind):
 def test_mutate_rate_extremes():
     rng = Random(7)
     c = clique_from_codes(2, [166, 101, 106])
-    assert [v.code for v in mutate(c, 0.0, rng)] == [166, 101, 106]
+    assert mutate(c, 0.0, rng) == [166, 101, 106]
     mutated = mutate(c, 1.0, rng)
     assert len(mutated) == 3
-    assert all(w.t == 2 for w in mutated)
+    assert all(decode(w, 2).code == w for w in mutated)
 
 
 def test_run_ga_trace_and_best():

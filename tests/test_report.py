@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from hadclique import Clique, VertexCode
+from hadclique import Clique
 from hadclique.errors import InvalidClique
 from hadclique.report import EssayResult, run_essays
 
@@ -162,7 +162,8 @@ def test_no_worker_outlives_the_call(run, tmp_path):
 
 def test_equal_members_from_workers_are_one_object(tmp_path):
     # pickling copies a member once per batch; every fast essay keeps its seed's members
-    seed = Clique(t=2, members=(VertexCode(t=2, code=0b00111100, k=0),))
+    # a code above 256, since CPython shares the objects of smaller ints anyway
+    seed = Clique(t=8, members=(0x0F0F0F0F,))
 
     def essay(i: int) -> EssayResult:
         time.sleep(0.01)
