@@ -19,6 +19,7 @@ import time
 from functools import partial
 from pathlib import Path
 from random import Random
+from typing import Any, Callable
 
 import numpy as np
 
@@ -155,6 +156,34 @@ def _human_report(rep: SearchReport) -> None:
     print("members:", " ".join(str(c) for c in best.codes))
 
 
+def _refused(call: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """call(*args, **kwargs), raising a ValueError it raises as a usage error."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        raise _Usage(str(exc)) from None
+
+
+def _search(
+    algorithm: str, t: int, essays: int, rng_seed: int, seed: Clique | None = None, **ga_knobs: Any
+) -> Callable[..., SearchReport]:
+    """The search, built now, as a call that takes jobs and time_limit.
+
+    A setting refused when it is built or run is a usage error. seed (fast's
+    start, empty by default) and ga_knobs (GaConfig fields) only apply to
+    their own search.
+    """
+    if algorithm == "exact":
+        cfg = _refused(exact.ExactSearchConfig, t=t, essays=essays, rng_seed=rng_seed)
+        run = partial(exact.run_exact, cfg)
+    elif algorithm == "ga":
+        run = partial(ga.run_many, _refused(ga.GaConfig, t=t, rng_seed=rng_seed, **ga_knobs), essays)
+    else:
+        base = Clique(t=t, members=()) if seed is None else seed
+        run = partial(fast.run_many, base, _refused(fast.FastConfig, t=t, rng_seed=rng_seed), essays)
+    return partial(_refused, run)
+
+
 def cmd_search(args: argparse.Namespace) -> int:
     if args.t is None or args.t < 1:
         raise _Usage("search needs --t >= 1")
@@ -164,27 +193,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     base = read_clique(args.seed_file) if args.seed_file else Clique(t=args.t, members=())
     if base.t != args.t:
         raise _Usage(f"--seed-file holds a G_{base.t} clique but --t is {args.t}")
-    try:
-        if args.algorithm == "exact":
-            cfg = exact.ExactSearchConfig(t=args.t, essays=args.essays, rng_seed=seed)
-            rep = exact.run_exact(cfg, jobs=args.jobs, time_limit=args.time_limit)
-        elif args.algorithm == "ga":
-            gcfg = ga.GaConfig(
-                t=args.t,
-                population_size=args.population,
-                max_generations=args.generations,
-                p_m=args.pm,
-                p_b=args.pb,
-                rng_seed=seed,
-            )
-            rep = ga.run_many(gcfg, essays=args.essays, jobs=args.jobs,
-                              time_limit=args.time_limit)
-        else:
-            fcfg = fast.FastConfig(t=args.t, rng_seed=seed)
-            rep = fast.run_many(base, fcfg, essays=args.essays, jobs=args.jobs,
-                                time_limit=args.time_limit)
-    except ValueError as exc:
-        raise _Usage(str(exc)) from None
+    search = _search(args.algorithm, args.t, args.essays, seed, seed=base,
+                     population_size=args.population, max_generations=args.generations,
+                     p_m=args.pm, p_b=args.pb)
+    rep = search(jobs=args.jobs, time_limit=args.time_limit)
     _human_report(rep)
     out = args.out or Path(f"hadclique-{args.algorithm}-t{args.t}-seed{seed}.report")
     write_report(out, rep)
@@ -251,17 +263,11 @@ def cmd_paley(args: argparse.Namespace) -> int:
 def cmd_extend(args: argparse.Namespace) -> int:
     c = read_clique(args.path)
     seed = _effective_seed(args)
-    try:
-        if args.algorithm == "exact":
-            graph.pool_bytes(c.t)
-        else:
-            cfg = fast.FastConfig(t=c.t, rng_seed=seed)
-    except ValueError as exc:
-        raise _Usage(str(exc)) from None
     if args.algorithm == "exact":
+        _refused(graph.pool_bytes, c.t)
         grown = exact.extend_exact(c, Random(seed))
     else:
-        grown = fast.run_fast(c, cfg)
+        grown = fast.run_fast(c, _refused(fast.FastConfig, t=c.t, rng_seed=seed))
     if len(grown) == len(c):
         print("warning: no extension found", file=sys.stderr)
     else:
@@ -310,19 +316,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     default_ts = {"exact": [2, 3, 4, 5], "ga": [2, 3, 4, 5], "fast": [3, 4, 5]}[args.suite]
     ts = [args.t] if args.t is not None else default_ts
     # rep r is essay r of one run, so it draws from Random(r); every t's
-    # config is built before any run, so a t the suite cannot run is a
+    # search is built before any run, so a t the suite cannot run is a
     # usage error, as it is for search
-    try:
-        if args.suite == "exact":
-            runs = [partial(exact.run_exact, exact.ExactSearchConfig(t=t, essays=args.reps))
-                    for t in ts]
-        elif args.suite == "ga":
-            runs = [partial(ga.run_many, ga.GaConfig(t=t), essays=args.reps) for t in ts]
-        else:
-            runs = [partial(fast.run_many, Clique(t=t, members=()), fast.FastConfig(t=t),
-                            essays=args.reps) for t in ts]
-    except ValueError as exc:
-        raise _Usage(str(exc)) from None
+    runs = [_search(args.suite, t, args.reps, 0) for t in ts]
     print(f"{args.suite} suite, {args.reps} reps")
     rows = []
     for t, run in zip(ts, runs):

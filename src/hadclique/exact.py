@@ -80,38 +80,31 @@ def _filter_pool(
     return pool.refine(*codes)
 
 
-def _grow(anchor: VertexCode, members: Sequence[int], rng: Random) -> Clique:
-    """A maximal clique: anchor's code, then the member codes, then the picks.
+def _grow(pool: NeighborPool | MaterializedPool, members: Sequence[int], rng: Random) -> Clique:
+    """A maximal clique of G_{pool.t}: the member codes, then the picks.
 
-    members must be pairwise orthogonal and orthogonal to anchor. With no
-    members the pool is the neighbors of anchor; otherwise it is the whole
-    vertex pool refined by anchor and members in one call, which batches
-    them. Each pick is a uniform rank in the pool, which is then refined by
-    the pick, until the pool is empty. A pick is kept as the int code_at
-    returns: every code in a pool is a vertex of G_t, so none is decoded.
+    pool must be the common neighborhood of members, which must be
+    pairwise orthogonal. Each pick is a uniform rank in the pool, which is
+    then refined by the pick, until the pool is empty. A pick is kept as
+    the int code_at returns: every code in a pool is a vertex of G_t, so
+    none is decoded.
     """
-    t = anchor.t
-    if members:
-        pool = _filter_pool(vertex_pool(t), anchor.code, *members)
-    else:
-        pool = adjacency(anchor)
-    codes = [anchor.code, *members]
+    codes = list(members)
     while pool.size:
         pick = pool.code_at(rng.randrange(pool.size))
         codes.append(pick)
         pool = _filter_pool(pool, pick)
-    return Clique(t=t, members=tuple(codes))
+    return Clique(t=pool.t, members=tuple(codes))
 
 
 def _greedy_essay(cfg: ExactSearchConfig, index: int) -> EssayResult:
     rng = Random(cfg.rng_seed + index)
-    t = cfg.t
     begin = time.perf_counter()
     if cfg.start_vertex is not None:
-        start = decode(cfg.start_vertex.code, t)
+        start = decode(cfg.start_vertex.code, cfg.t)
     else:
-        start = _random_start(t, rng)
-    clique = _grow(start, (), rng)
+        start = _random_start(cfg.t, rng)
+    clique = _grow(adjacency(start), (start.code,), rng)
     return EssayResult(index=index, clique=clique, seconds=time.perf_counter() - begin)
 
 
@@ -121,17 +114,17 @@ def run_exact(cfg: ExactSearchConfig, jobs: int = 1, time_limit: float | None = 
     Essay i draws all randomness from Random(rng_seed + i), so results are
     reproducible and independent of jobs. Every essay runs to a maximal
     clique: memory is set by the pool's halves, not by any degree, and
-    graph.pool_bytes must admit jobs essays at once. vertex_pool(t) is
-    built before run_essays forks, so its workers share it. run_essays
-    holds the worker and time_limit rules; a started essay is not
-    interrupted.
+    graph.pool_bytes must admit min(jobs, essays) essays at once, as many
+    as run_essays runs. vertex_pool(t) is built before run_essays forks, so
+    its workers share it. run_essays holds the worker and time_limit
+    rules; a started essay is not interrupted.
     """
     config = (
         ("essays", cfg.essays),
         ("rng_seed", cfg.rng_seed),
         ("start_vertex", "-" if cfg.start_vertex is None else cfg.start_vertex.code),
     )
-    pool_bytes(cfg.t, jobs)
+    pool_bytes(cfg.t, min(jobs, cfg.essays))
     vertex_pool(cfg.t)
     return run_essays(
         "exact", cfg.t, config, lambda i: _greedy_essay(cfg, i), cfg.essays, jobs, time_limit
@@ -141,15 +134,17 @@ def run_exact(cfg: ExactSearchConfig, jobs: int = 1, time_limit: float | None = 
 def extend_exact(c: Clique, rng: Random) -> Clique:
     """Greedily extend c to a maximal clique containing it.
 
-    An empty c starts a fresh essay from a random vertex. The input members
-    are validated first and an invalid clique is rejected; they are kept
-    as given, and the new picks follow them. The pool is held as halves
-    and never materialized; graph.vertex_pool raises PoolTooLarge for a t
-    past graph.pool_bytes before it allocates.
+    The input members are validated first and an invalid clique is
+    rejected; they are kept as given, and the new picks follow them. The
+    pool is vertex_pool(t) refined by them all in one batched call, or an
+    empty c's random start's neighbors. It is held as halves and never
+    materialized; graph.vertex_pool raises PoolTooLarge for a t past
+    graph.pool_bytes before it allocates.
     """
     rep = verify_clique(c)
     if not rep:
         raise InvalidClique(rep.message)
     if c.members:
-        return _grow(decode(c.members[0], c.t), c.members[1:], rng)
-    return _grow(_random_start(c.t, rng), (), rng)
+        return _grow(_filter_pool(vertex_pool(c.t), *c.members), c.members, rng)
+    start = _random_start(c.t, rng)
+    return _grow(adjacency(start), (start.code,), rng)

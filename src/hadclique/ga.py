@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 from .errors import BothEmpty, HadcliqueError
 from .exact import extend_exact
 from .graph import Clique, pool_bytes, random_vertex, vertex_pool
-from .report import EssayResult, SearchReport, run_essays, utc_stamp
+from .report import EssayResult, SearchReport, run_essays
 
 __all__ = ["GaConfig", "Chromosome", "crossover", "repair", "mutate", "run_ga", "run_many"]
 
@@ -153,15 +153,15 @@ def run_ga(
     cfg: GaConfig,
     essay_index: int = 0,
     observer: Callable[[int, tuple[Chromosome, ...]], None] | None = None,
-) -> SearchReport:
-    """One genetic run; the per-generation best-size trace lands in the essay.
+) -> EssayResult:
+    """One genetic run as an essay: its best clique, and its per-generation
+    best sizes in .generations.
 
     All randomness flows from Random(cfg.rng_seed + essay_index). The trace
     has max_generations + 1 entries, entry 0 being the initial population.
     The observer, if given, sees (generation, population) snapshots and must
     not mutate them; it exists for instrumentation and invariant checks.
     """
-    started = utc_stamp()
     begin = time.perf_counter()
     rng = Random(cfg.rng_seed + essay_index)
     pop = _initial_population(cfg, rng)
@@ -183,30 +183,11 @@ def run_ga(
         trace.append(max(ch.fitness for ch in pop))
         if observer is not None:
             observer(gen + 1, tuple(pop))
-    best = max(pop, key=lambda ch: ch.fitness).clique
-    essay = EssayResult(
+    return EssayResult(
         index=essay_index,
-        clique=best,
+        clique=max(pop, key=lambda ch: ch.fitness).clique,
         seconds=time.perf_counter() - begin,
         generations=tuple(trace),
-    )
-    return SearchReport(
-        algorithm="ga",
-        t=cfg.t,
-        config=_config_echo(cfg),
-        essays=(essay,),
-        started=started,
-        finished=utc_stamp(),
-    )
-
-
-def _config_echo(cfg: GaConfig) -> tuple[tuple[str, object], ...]:
-    return (
-        ("population_size", cfg.population_size),
-        ("max_generations", cfg.max_generations),
-        ("p_m", cfg.p_m),
-        ("p_b", cfg.p_b),
-        ("rng_seed", cfg.rng_seed),
     )
 
 
@@ -214,18 +195,19 @@ def run_many(
     cfg: GaConfig, essays: int, jobs: int = 1, time_limit: float | None = None
 ) -> SearchReport:
     """Independent GA runs through report.run_essays, which holds the worker
-    and time_limit rules. Run i uses rng_seed + i, so jobs never changes
-    results. graph.pool_bytes must admit jobs runs at once, and
+    and time_limit rules. Run i is run_ga(cfg, i), so it uses rng_seed + i
+    and jobs never changes results. graph.pool_bytes must admit
+    min(jobs, essays) runs at once, as many as run_essays runs, and
     vertex_pool(t) is built before run_essays forks, so its workers share it.
     """
-    pool_bytes(cfg.t, jobs)
-    vertex_pool(cfg.t)
-    return run_essays(
-        "ga",
-        cfg.t,
-        _config_echo(cfg) + (("essays", essays),),
-        lambda i: run_ga(cfg, i).essays[0],
-        essays,
-        jobs,
-        time_limit,
+    config = (
+        ("population_size", cfg.population_size),
+        ("max_generations", cfg.max_generations),
+        ("p_m", cfg.p_m),
+        ("p_b", cfg.p_b),
+        ("rng_seed", cfg.rng_seed),
+        ("essays", essays),
     )
+    pool_bytes(cfg.t, min(jobs, essays))
+    vertex_pool(cfg.t)
+    return run_essays("ga", cfg.t, config, lambda i: run_ga(cfg, i), essays, jobs, time_limit)

@@ -18,7 +18,7 @@ from typing import Any, Callable
 
 from .graph import Clique
 
-__all__ = ["EssayResult", "SearchReport", "run_essays", "utc_stamp"]
+__all__ = ["EssayResult", "SearchReport", "run_essays"]
 
 
 def utc_stamp() -> str:
@@ -27,17 +27,19 @@ def utc_stamp() -> str:
 
 @dataclass(frozen=True, slots=True)
 class EssayResult:
-    """One independent search attempt.
+    """One independent search attempt; a GA run (ga.run_ga) is one essay.
 
     generations is only populated by the genetic search: entry g is the best
     clique size present in the population after generation g, with entry 0
-    recording the freshly initialized population.
+    recording the freshly initialized population. No search caps its
+    candidates, so overflow is a class constant that perfbench's gate reads.
     """
+
+    overflow = False
 
     index: int
     clique: Clique
     seconds: float
-    overflow: bool = False  # never set; kept while perfbench's gate reads it
     generations: tuple[int, ...] = ()
 
     @property
@@ -140,9 +142,9 @@ def run_essays(
     essays 0 .. n - 1 in index order, so when each essay draws its
     randomness from its index the report does not depend on jobs. An
     exception raised by an essay reaches the caller with its type. A
-    negative time_limit raises ValueError.
+    time_limit that is not >= 0, negative or NaN, raises ValueError.
     """
-    if time_limit is not None and time_limit < 0:
+    if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time_limit must be nonnegative, got {time_limit}")
     if essays < 1:
         raise ValueError(f"essays must be positive, got {essays}")

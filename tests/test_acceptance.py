@@ -162,7 +162,7 @@ def test_criterion_09_ga_contracts():
         ok &= all(verify_clique(ch.clique) for ch in pop)
     bests = [max(ch.fitness for ch in pop) for pop in snapshots]
     ok &= bests == sorted(bests)
-    best_over_runs = max(len(run_ga(GaConfig(t=4, rng_seed=s)).best) for s in range(3))
+    best_over_runs = max(run_ga(GaConfig(t=4, rng_seed=s)).size for s in range(3))
     ok &= best_over_runs >= 11
     check(9, "genetic run keeps populations valid, distinct, monotone; best >= 11", ok)
 

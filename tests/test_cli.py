@@ -93,10 +93,11 @@ def test_usage_errors_exit_64(capsys):
 @pytest.mark.parametrize("algorithm", ["exact", "ga", "fast"])
 def test_negative_time_limit_is_a_usage_error(algorithm, tmp_path, capsys):
     out = tmp_path / "r.report"
-    argv = ["search", algorithm, "--t", "3", "--time-limit", "-1", "--out", str(out)]
-    assert main(argv) == EX_USAGE
-    assert "time_limit must be nonnegative" in capsys.readouterr().err
-    assert not out.exists()
+    for limit in ("-1", "nan"):  # no perf_counter reading is <= nan
+        argv = ["search", algorithm, "--t", "3", "--time-limit", limit, "--out", str(out)]
+        assert main(argv) == EX_USAGE
+        assert "time_limit must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_ga_at_t_one_is_a_usage_error(tmp_path, capsys):
@@ -201,6 +202,9 @@ def test_search_refuses_jobs_whose_essays_do_not_fit(algorithm, tmp_path, monkey
     assert main([*argv, "--jobs", "2", "--out", str(out)]) == EX_USAGE
     assert not out.exists()
     assert main([*argv, "--jobs", "1", "--out", str(out)]) == EX_OK
+    # one essay runs alone whatever --jobs is, so one peak is counted
+    argv = ["search", algorithm, "--t", "5", "--essays", "1", "--jobs", "2"]
+    assert main([*argv, "--out", str(out)]) == EX_OK
 
 
 def test_search_fast_with_seed_file(tmp_path, capsys):
@@ -393,7 +397,7 @@ def _one_run_size(suite, t, rng_seed):
     if suite == "exact":
         return len(exact.run_exact(exact.ExactSearchConfig(t=t, essays=1, rng_seed=rng_seed)).best)
     if suite == "ga":
-        return len(ga.run_ga(ga.GaConfig(t=t, rng_seed=rng_seed)).best)
+        return ga.run_ga(ga.GaConfig(t=t, rng_seed=rng_seed)).size
     return len(fast.run_fast(Clique(t=t, members=()), fast.FastConfig(t=t, rng_seed=rng_seed)))
 
 

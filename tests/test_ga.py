@@ -161,13 +161,12 @@ def test_mutate_rate_extremes():
 
 
 def test_run_ga_trace_and_best():
-    rep = run_ga(GaConfig(t=3, rng_seed=0))
-    (essay,) = rep.essays
+    essay = run_ga(GaConfig(t=3, rng_seed=0))
     assert len(essay.generations) == 21
     trace = list(essay.generations)
     assert trace == sorted(trace)  # replace-worst never loses the best
-    assert len(rep.best) == max(trace)
-    assert verify_clique(rep.best)
+    assert len(essay.clique) == max(trace)
+    assert verify_clique(essay.clique)
 
 
 def test_run_ga_population_invariants():
@@ -194,14 +193,14 @@ def test_no_best_ends_in_the_completion_band(t):
 def test_run_ga_deterministic():
     a = run_ga(GaConfig(t=3, rng_seed=5))
     b = run_ga(GaConfig(t=3, rng_seed=5))
-    assert a.best.codes == b.best.codes
-    assert a.essays[0].generations == b.essays[0].generations
+    assert a.clique.codes == b.clique.codes
+    assert a.generations == b.generations
 
 
 def test_zero_generation_run():
-    rep = run_ga(GaConfig(t=2, rng_seed=0, max_generations=0))
-    assert len(rep.essays[0].generations) == 1
-    assert len(rep.best) >= 1
+    essay = run_ga(GaConfig(t=2, rng_seed=0, max_generations=0))
+    assert len(essay.generations) == 1
+    assert len(essay.clique) >= 1
 
 
 def test_run_many_is_job_invariant():
@@ -216,8 +215,7 @@ def test_run_many_is_job_invariant():
 
 
 def test_first_best_generation_recorded():
-    rep = run_ga(GaConfig(t=2, rng_seed=0))
-    essay = rep.essays[0]
+    essay = run_ga(GaConfig(t=2, rng_seed=0))
     trace = essay.generations
     assert trace[essay.first_best_generation] == max(trace)
     assert all(g < max(trace) for g in trace[: essay.first_best_generation])
@@ -229,9 +227,9 @@ def test_one_essay_at_t10_is_within_the_byte_estimate():
     # BASE_BYTES
     tracemalloc.start()
     try:
-        rep = run_ga(GaConfig(t=10))
+        essay = run_ga(GaConfig(t=10))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert verify_clique(rep.best)
+    assert verify_clique(essay.clique)
     assert peak < pool_bytes(10) - BASE_BYTES

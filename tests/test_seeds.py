@@ -11,6 +11,7 @@ from hadclique import (
     NotOrthogonal,
     RaggedRows,
     SignMatrix,
+    WeightError,
     clique_from_codes,
     clique_to_matrix,
     format_sign_matrix,
@@ -21,6 +22,7 @@ from hadclique import (
     verify_clique,
     verify_ph,
 )
+from hadclique.errors import DecodeFailure
 
 from published import GREEDY_CLIQUES
 
@@ -84,6 +86,15 @@ def test_matrix_to_clique_inverts_clique_to_matrix():
         c = clique_from_codes(t, codes)
         back = matrix_to_clique(clique_to_matrix(c))
         assert back.codes == codes
+
+
+def test_matrix_to_clique_names_the_row_that_does_not_decode():
+    # (-1, +1, ..., +1) reads as a code with one one-bit, not 2t = 4
+    canonical = clique_to_matrix(clique_from_codes(2, [])).rows
+    with pytest.raises(DecodeFailure) as err:
+        matrix_to_clique(SignMatrix(rows=(*canonical, (-1,) + (1,) * 7)))
+    assert err.value.row == 3
+    assert isinstance(err.value.__cause__, WeightError)
 
 
 def test_ingest_parses_aliases_and_comments():
