@@ -32,19 +32,16 @@ from .graph import (
     class_size,
     clique_from_codes,
     coincidence_range,
-    complement,
     count_orthogonal,
     decode,
     degree,
     distinct_orderings,
     edge_count,
-    full_mask,
     generator_set,
     join_quarters,
     orthogonal_codes,
     quarters_of,
     random_vertex,
-    s_range,
     solve_distributions,
     vertex_count,
 )
@@ -58,18 +55,9 @@ from .oracle import (
     vertex_codes,
 )
 from .exact import ExactSearchConfig, extend_exact, run_exact
-from .fast import FastConfig, buildgrapas, completions, feasible_targets, run_fast
-from .files import (
-    format_clique_text,
-    format_report,
-    parse_clique_text,
-    read_clique,
-    read_report,
-    report_best_clique,
-    write_clique,
-    write_report,
-)
-from .ga import Chromosome, GaConfig, crossover, mutate, repair, run_ga
+from .fast import FastConfig, buildgrapas, run_fast
+from .files import format_clique_text, parse_clique_text, read_clique, write_report
+from .ga import GaConfig, crossover, mutate, repair, run_ga
 from .report import EssayResult, SearchReport
 from .seeds import (
     format_sign_matrix,

@@ -31,7 +31,7 @@ from .graph import (
     vertex_pool,
 )
 from .oracle import verify_clique
-from .report import EssayResult, SearchReport, run_essays
+from .report import EssayResult, SearchReport, _check_run, run_essays
 
 __all__ = ["ExactSearchConfig", "run_exact", "extend_exact"]
 
@@ -116,7 +116,8 @@ def run_exact(cfg: ExactSearchConfig, jobs: int = 1, time_limit: float | None = 
     clique: memory is set by the pool's halves, not by any degree, and
     graph.pool_bytes must admit min(jobs, essays) essays at once, as many
     as run_essays runs. vertex_pool(t) is built before run_essays forks, so
-    its workers share it. run_essays holds the worker and time_limit
+    its workers share it, and after the run's arguments are checked, so a
+    refused run builds nothing. run_essays holds the worker and time_limit
     rules; a started essay is not interrupted.
     """
     config = (
@@ -124,6 +125,7 @@ def run_exact(cfg: ExactSearchConfig, jobs: int = 1, time_limit: float | None = 
         ("rng_seed", cfg.rng_seed),
         ("start_vertex", "-" if cfg.start_vertex is None else cfg.start_vertex.code),
     )
+    _check_run(cfg.essays, jobs, time_limit)
     pool_bytes(cfg.t, min(jobs, cfg.essays))
     vertex_pool(cfg.t)
     return run_essays(

@@ -43,14 +43,7 @@ from .graph import (
 from .oracle import verify_clique
 from .report import EssayResult, SearchReport, run_essays
 
-__all__ = [
-    "FastConfig",
-    "completions",
-    "feasible_targets",
-    "buildgrapas",
-    "run_fast",
-    "run_many",
-]
+__all__ = ["FastConfig", "buildgrapas", "run_fast", "run_many"]
 
 
 # construction attempts per new vertex; an attempt also allows t quarter

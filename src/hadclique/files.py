@@ -2,9 +2,10 @@
 
 Clique files mirror the published tables: the first value is t, everything
 after is a decimal vertex code, whitespace/newlines free-form, '#' starts
-a comment. Reports are key/value text with a fixed key order; wall times
-and timestamps live in comment lines so two runs with the same seed
-produce byte-identical non-comment bodies.
+a comment. Reports are key/value text with a fixed key order, written by
+write_report and read back by read_report; wall times and timestamps live
+in comment lines so two runs with the same seed produce byte-identical
+non-comment bodies.
 """
 
 from __future__ import annotations
@@ -17,16 +18,7 @@ from .graph import Clique, clique_from_codes, decode
 from .oracle import verify_clique
 from .report import SearchReport
 
-__all__ = [
-    "parse_clique_text",
-    "format_clique_text",
-    "read_clique",
-    "write_clique",
-    "format_report",
-    "write_report",
-    "read_report",
-    "report_best_clique",
-]
+__all__ = ["parse_clique_text", "format_clique_text", "read_clique", "write_report", "read_report"]
 
 
 def parse_clique_text(text: str) -> Clique:
@@ -56,18 +48,8 @@ def read_clique(path: str | Path) -> Clique:
     return parse_clique_text(Path(path).read_text())
 
 
-def write_clique(path: str | Path, c: Clique) -> None:
-    Path(path).write_text(format_clique_text(c))
-
-
-def _check_best(rep: SearchReport) -> None:
-    rep_ok = verify_clique(rep.best)
-    if not rep_ok:
-        raise HadcliqueError(f"refusing to serialize report with invalid best clique: {rep_ok.message}")
-
-
 def _report_lines(rep: SearchReport) -> Iterator[str]:
-    """The report's lines, without newlines; rep.best is not checked."""
+    """The report's lines, without newlines; write_report checks rep.best."""
     yield "# hadclique search report"
     yield f"# started: {rep.started}"
     yield f"# finished: {rep.finished}"
@@ -94,15 +76,14 @@ def _report_lines(rep: SearchReport) -> Iterator[str]:
     yield f"depth.exceeds_half: {'yes' if rep.exceeds_half else 'no'}"
 
 
-def format_report(rep: SearchReport) -> str:
-    """Stable key/value rendering; timing-dependent data goes to comments."""
-    _check_best(rep)
-    return "".join(f"{line.rstrip()}\n" for line in _report_lines(rep))
-
-
 def write_report(path: str | Path, rep: SearchReport) -> None:
-    """Write format_report(rep) to path line by line, never holding the whole text."""
-    _check_best(rep)
+    """Write rep to path line by line, never holding the whole text.
+
+    A best clique that does not verify is refused before path is opened.
+    """
+    rep_ok = verify_clique(rep.best)
+    if not rep_ok:
+        raise HadcliqueError(f"refusing to serialize report with invalid best clique: {rep_ok.message}")
     with Path(path).open("w") as fh:
         fh.writelines(f"{line.rstrip()}\n" for line in _report_lines(rep))
 
@@ -122,12 +103,3 @@ def read_report(path: str | Path) -> dict[str, str]:
         data[key] = val
     return data
 
-
-def report_best_clique(data: dict[str, str]) -> Clique:
-    """Reconstruct the best clique recorded in a loaded report."""
-    try:
-        t = int(data["t"])
-        codes = [int(x) for x in data["best.members"].split()] if data.get("best.members") else []
-    except (KeyError, ValueError) as exc:
-        raise HadcliqueError(f"report lacks a readable best clique: {exc}") from exc
-    return clique_from_codes(t, codes)

@@ -19,9 +19,9 @@ from typing import Callable, Sequence
 from .errors import BothEmpty, HadcliqueError
 from .exact import extend_exact
 from .graph import Clique, pool_bytes, random_vertex, vertex_pool
-from .report import EssayResult, SearchReport, run_essays
+from .report import EssayResult, SearchReport, _check_run, run_essays
 
-__all__ = ["GaConfig", "Chromosome", "crossover", "repair", "mutate", "run_ga", "run_many"]
+__all__ = ["GaConfig", "crossover", "repair", "mutate", "run_ga", "run_many"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,7 +198,8 @@ def run_many(
     and time_limit rules. Run i is run_ga(cfg, i), so it uses rng_seed + i
     and jobs never changes results. graph.pool_bytes must admit
     min(jobs, essays) runs at once, as many as run_essays runs, and
-    vertex_pool(t) is built before run_essays forks, so its workers share it.
+    vertex_pool(t) is built before run_essays forks, so its workers share it,
+    and after the run's arguments are checked, so a refused run builds nothing.
     """
     config = (
         ("population_size", cfg.population_size),
@@ -208,6 +209,7 @@ def run_many(
         ("rng_seed", cfg.rng_seed),
         ("essays", essays),
     )
+    _check_run(essays, jobs, time_limit)
     pool_bytes(cfg.t, min(jobs, essays))
     vertex_pool(cfg.t)
     return run_essays("ga", cfg.t, config, lambda i: run_ga(cfg, i), essays, jobs, time_limit)

@@ -83,13 +83,10 @@ __all__ = [
     "decode",
     "clique_from_codes",
     "orthogonal_codes",
-    "complement",
-    "full_mask",
     "quarters_of",
     "join_quarters",
     "vertex_count",
     "class_size",
-    "s_range",
     "coincidence_range",
     "solve_distributions",
     "distinct_orderings",

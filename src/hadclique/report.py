@@ -49,13 +49,7 @@ class EssayResult:
     @property
     def first_best_generation(self) -> int | None:
         """Earliest generation whose best already matches the final best."""
-        if not self.generations:
-            return None
-        final = self.generations[-1]
-        for g, s in enumerate(self.generations):
-            if s == final:
-                return g
-        return None
+        return self.generations.index(self.generations[-1]) if self.generations else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,17 +62,20 @@ class SearchReport:
     finished: str = field(default_factory=utc_stamp)
 
     @property
+    def _top(self) -> EssayResult | None:
+        """The essay with the largest clique; the earliest wins ties."""
+        return max(self.essays, key=lambda e: (e.size, -e.index), default=None)
+
+    @property
     def best(self) -> Clique:
-        """Largest clique found; earliest essay wins ties."""
-        if not self.essays:
-            return Clique(t=self.t, members=())
-        return max(self.essays, key=lambda e: (e.size, -e.index)).clique
+        """Largest clique found; empty when no essay ran."""
+        top = self._top
+        return Clique(t=self.t, members=()) if top is None else top.clique
 
     @property
     def best_essay(self) -> int | None:
-        if not self.essays:
-            return None
-        return max(self.essays, key=lambda e: (e.size, -e.index)).index
+        top = self._top
+        return None if top is None else top.index
 
     @property
     def depth(self) -> int:
@@ -118,6 +115,19 @@ def _may_claim(i: int, essays: int, jobs: int, deadline: float | None) -> bool:
     return i < essays and (i < jobs or deadline is None or time.perf_counter() <= deadline)
 
 
+def _check_run(essays: int, jobs: int, time_limit: float | None) -> None:
+    """ValueError for essays or jobs below 1, or a time_limit not >= 0 (negative or NaN).
+
+    A search calls it before building its tables, so a refused run builds nothing.
+    """
+    if time_limit is not None and not time_limit >= 0:
+        raise ValueError(f"time_limit must be nonnegative, got {time_limit}")
+    if essays < 1:
+        raise ValueError(f"essays must be positive, got {essays}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs}")
+
+
 def run_essays(
     algorithm: str,
     t: int,
@@ -141,15 +151,10 @@ def run_essays(
     finishes, and no later one starts once it has passed. The report holds
     essays 0 .. n - 1 in index order, so when each essay draws its
     randomness from its index the report does not depend on jobs. An
-    exception raised by an essay reaches the caller with its type. A
-    time_limit that is not >= 0, negative or NaN, raises ValueError.
+    exception raised by an essay reaches the caller with its type. Arguments
+    that _check_run refuses raise ValueError.
     """
-    if time_limit is not None and not time_limit >= 0:
-        raise ValueError(f"time_limit must be nonnegative, got {time_limit}")
-    if essays < 1:
-        raise ValueError(f"essays must be positive, got {essays}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive, got {jobs}")
+    _check_run(essays, jobs, time_limit)
     started = utc_stamp()
     deadline = None if time_limit is None else time.perf_counter() + time_limit
     results = None

@@ -14,11 +14,11 @@ from hadclique import (
     ingest_sign_matrix,
     parse_clique_text,
     read_clique,
-    read_report,
     verify_clique,
     verify_ph,
 )
 from hadclique import exact, fast, ga, graph
+from hadclique.files import read_report
 from hadclique.cli import EX_EMPTY, EX_OK, EX_USAGE, EX_VERIFY, _is_sign_matrix, main
 
 from published import GREEDY_CLIQUES

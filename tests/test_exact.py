@@ -20,6 +20,7 @@ from hadclique import (
     run_exact,
     verify_clique,
 )
+from hadclique import exact, graph
 from hadclique.exact import _random_start
 from hadclique.graph import BASE_BYTES, pool_bytes
 
@@ -97,6 +98,17 @@ def test_start_vertex_is_kept():
 def test_time_limit_still_produces_one_essay():
     rep = run_exact(ExactSearchConfig(t=3, essays=50, rng_seed=0), time_limit=0.0)
     assert len(rep.essays) >= 1
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_refused_jobs_build_no_pool(monkeypatch, jobs):
+    def built(t):
+        raise AssertionError(f"vertex_pool({t}) built for a refused run")
+
+    monkeypatch.setattr(exact, "vertex_pool", built)
+    monkeypatch.setattr(graph, "vertex_pool", built)
+    with pytest.raises(ValueError, match="jobs must be positive"):
+        run_exact(ExactSearchConfig(t=5, essays=2), jobs=jobs)
 
 
 def test_report_shape():

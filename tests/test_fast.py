@@ -18,9 +18,7 @@ from hadclique import (
     brute_adjacency_codes,
     clique_from_codes,
     coincidence_range,
-    completions,
     decode,
-    feasible_targets,
     join_quarters,
     orthogonal_codes,
     paley_seed,
@@ -34,6 +32,8 @@ from hadclique.fast import (
     _inner_search,
     _target_table,
     _valid_rows,
+    completions,
+    feasible_targets,
     run_many,
 )
 from hadclique import fast

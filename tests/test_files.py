@@ -6,18 +6,21 @@ from hadclique import (
     HadcliqueError,
     clique_from_codes,
     format_clique_text,
-    format_report,
     parse_clique_text,
     read_clique,
-    read_report,
-    report_best_clique,
     run_exact,
     verify_clique,
-    write_clique,
     write_report,
 )
+from hadclique.files import read_report
 
 from published import GREEDY_CLIQUES
+
+
+def _report_text(rep, tmp_path):
+    p = tmp_path / "run.report"
+    write_report(p, rep)
+    return p.read_text()
 
 
 def test_published_rows_paste_in_directly():
@@ -48,7 +51,7 @@ def test_clique_file_roundtrip(tmp_path):
     for t, codes in GREEDY_CLIQUES.items():
         c = clique_from_codes(t, codes)
         p = tmp_path / f"t{t}.clq"
-        write_clique(p, c)
+        p.write_text(format_clique_text(c))
         back = read_clique(p)
         assert back.t == t
         assert back.codes == codes
@@ -56,7 +59,7 @@ def test_clique_file_roundtrip(tmp_path):
 
 def test_empty_clique_roundtrip(tmp_path):
     p = tmp_path / "empty.clq"
-    write_clique(p, Clique(t=4, members=()))
+    p.write_text(format_clique_text(Clique(t=4, members=())))
     assert read_clique(p).codes == []
 
 
@@ -69,25 +72,24 @@ def test_report_roundtrip_and_reverification(tmp_path):
     rep = run_exact(ExactSearchConfig(t=3, essays=4, rng_seed=2))
     p = tmp_path / "run.report"
     write_report(p, rep)
-    assert p.read_text() == format_report(rep)
     data = read_report(p)
     assert data["algorithm"] == "exact"
     assert int(data["t"]) == 3
     assert int(data["essays"]) == 4
-    best = report_best_clique(data)
+    best = clique_from_codes(int(data["t"]), [int(x) for x in data["best.members"].split()])
     assert verify_clique(best)
     assert best.codes == rep.best.codes
 
 
 def test_report_bodies_identical_modulo_comments(tmp_path):
-    a = format_report(run_exact(ExactSearchConfig(t=2, essays=3, rng_seed=4)))
-    b = format_report(run_exact(ExactSearchConfig(t=2, essays=3, rng_seed=4)))
+    a = _report_text(run_exact(ExactSearchConfig(t=2, essays=3, rng_seed=4)), tmp_path)
+    b = _report_text(run_exact(ExactSearchConfig(t=2, essays=3, rng_seed=4)), tmp_path)
     strip = lambda s: [ln for ln in s.splitlines() if not ln.startswith("#")]
     assert strip(a) == strip(b)
 
 
-def test_report_key_order_is_stable():
-    text = format_report(run_exact(ExactSearchConfig(t=2, essays=2, rng_seed=0)))
+def test_report_key_order_is_stable(tmp_path):
+    text = _report_text(run_exact(ExactSearchConfig(t=2, essays=2, rng_seed=0)), tmp_path)
     keys = [ln.split(":")[0] for ln in text.splitlines() if not ln.startswith("#")]
     assert keys[:2] == ["algorithm", "t"]
     assert keys[-5:] == [
@@ -117,15 +119,13 @@ def test_report_refuses_invalid_best(tmp_path):
         finished=rep.finished,
     )
     with pytest.raises(HadcliqueError):
-        format_report(broken)
-    with pytest.raises(HadcliqueError):
         write_report(tmp_path / "broken.report", broken)
     assert not (tmp_path / "broken.report").exists()
 
 
 def test_report_timestamps_live_in_comments(tmp_path):
     rep = run_exact(ExactSearchConfig(t=2, essays=1, rng_seed=0))
-    text = format_report(rep)
+    text = _report_text(rep, tmp_path)
     for marker in ("started", "finished", "seconds"):
         lines = [ln for ln in text.splitlines() if marker in ln]
         assert lines and all(ln.startswith("#") for ln in lines)

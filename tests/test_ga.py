@@ -8,7 +8,6 @@ from hypothesis import given, settings
 
 from hadclique import (
     BothEmpty,
-    Chromosome,
     Clique,
     GaConfig,
     clique_from_codes,
@@ -22,7 +21,8 @@ from hadclique import (
     run_ga,
     verify_clique,
 )
-from hadclique.ga import run_many
+from hadclique import exact, ga, graph
+from hadclique.ga import Chromosome, run_many
 from hadclique.graph import BASE_BYTES, pool_bytes
 
 
@@ -212,6 +212,18 @@ def test_run_many_is_job_invariant():
     ]
     assert serial.algorithm == "ga"
     assert dict(serial.config)["essays"] == 4
+
+
+@pytest.mark.parametrize("essays, jobs, refused", [(0, 1, "essays"), (2, 0, "jobs")])
+def test_refused_run_many_builds_no_pool(monkeypatch, essays, jobs, refused):
+    def built(t):
+        raise AssertionError(f"vertex_pool({t}) built for a refused run")
+
+    monkeypatch.setattr(ga, "vertex_pool", built)
+    monkeypatch.setattr(exact, "vertex_pool", built)
+    monkeypatch.setattr(graph, "vertex_pool", built)
+    with pytest.raises(ValueError, match=f"{refused} must be positive"):
+        run_many(GaConfig(t=5), essays=essays, jobs=jobs)
 
 
 def test_first_best_generation_recorded():

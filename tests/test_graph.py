@@ -16,24 +16,21 @@ from hadclique import (
     class_size,
     clique_from_codes,
     coincidence_range,
-    complement,
     count_orthogonal,
     decode,
     degree,
     distinct_orderings,
     edge_count,
-    full_mask,
     generator_set,
     join_quarters,
     orthogonal_codes,
     quarters_of,
     random_vertex,
-    s_range,
     solve_distributions,
     vertex_count,
 )
 from hadclique.errors import InfeasibleQuarter
-from hadclique.graph import vertex_pool
+from hadclique.graph import complement, full_mask, s_range, vertex_pool
 
 from published import CENSUS, ORTHOGONAL_COUNTS
 

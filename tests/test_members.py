@@ -14,12 +14,12 @@ from hadclique import (
     clique_from_codes,
     clique_to_matrix,
     extend_exact,
+    format_clique_text,
     matrix_to_clique,
     paley_seed,
     read_clique,
     run_exact,
     verify_clique,
-    write_clique,
 )
 from hadclique import fast, ga
 
@@ -34,7 +34,7 @@ def _made_cliques(tmp_path):
     yield "extend_exact", grown
     yield "paley_seed", [paley_seed(t) for t in (4, 5, 9)]
     path = tmp_path / "paley9.clq"
-    write_clique(path, paley_seed(9))
+    path.write_text(format_clique_text(paley_seed(9)))
     yield "read_clique", [read_clique(path)]
     yield "matrix_to_clique", [matrix_to_clique(clique_to_matrix(paley_seed(t))) for t in (4, 9)]
     yield "clique_from_codes", [clique_from_codes(9, np.array(paley_seed(9).codes, dtype=np.uint64))]
