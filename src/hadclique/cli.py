@@ -301,8 +301,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.reps < 1:
         raise _Usage(f"bench needs --reps >= 1, got {args.reps}")
     if args.suite == "census":
-        if args.json:
-            raise _Usage("--json applies to the exact, ga and fast suites")
+        if args.json or args.t is not None:
+            raise _Usage("--t and --json apply to the exact, ga and fast suites")
         print("census suite: per-k counts, degrees, totals for t = 1..7")
         ok = True
         for t, (nv, ne) in KNOWN_CENSUS.items():

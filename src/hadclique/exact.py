@@ -18,7 +18,7 @@ from functools import lru_cache
 from random import Random
 from typing import Sequence
 
-from .errors import InvalidClique
+from .errors import HadcliqueError, InvalidClique
 from .graph import (
     Clique,
     MaterializedPool,
@@ -47,8 +47,14 @@ class ExactSearchConfig:
         pool_bytes(self.t)
         if self.essays < 1:
             raise ValueError(f"essays must be positive, got {self.essays}")
-        if self.start_vertex is not None and self.start_vertex.t != self.t:
+        if self.start_vertex is None:
+            return
+        if self.start_vertex.t != self.t:
             raise ValueError("start_vertex belongs to a different G_t")
+        try:
+            decode(self.start_vertex.code, self.t)
+        except HadcliqueError as e:
+            raise ValueError(f"start_vertex: {e}") from e
 
 
 @lru_cache(maxsize=None)
@@ -100,10 +106,7 @@ def _grow(pool: NeighborPool | MaterializedPool, members: Sequence[int], rng: Ra
 def _greedy_essay(cfg: ExactSearchConfig, index: int) -> EssayResult:
     rng = Random(cfg.rng_seed + index)
     begin = time.perf_counter()
-    if cfg.start_vertex is not None:
-        start = decode(cfg.start_vertex.code, cfg.t)
-    else:
-        start = _random_start(cfg.t, rng)
+    start = cfg.start_vertex or _random_start(cfg.t, rng)
     clique = _grow(adjacency(start), (start.code,), rng)
     return EssayResult(index=index, clique=clique, seconds=time.perf_counter() - begin)
 

@@ -31,17 +31,16 @@ is orthogonal to member u exactly when popcount(L & ~u_hi) equals
 popcount(R & u_lo).  NeighborPool keeps the surviving halves of each side
 with a group id that pairs them (Horowitz-Sahni split and join), so the
 common neighborhood of a clique is counted, ranked and enumerated from
-at most C(2t, t) halves per side.  Ids are stored pre-scaled by t + 1, so
-a refine bins each half by (group, key) with one add, and a refine by
-several codes appends one key digit per code.  A refine whose bins would
-still take another digit within the halves held, and which leaves at most
-a quarter of them without a partner, stays open: the refined pool shares
-its parent's halves, dead ones included, and its ids are the raw bins, so
-the next refine appends its digit to them.  Otherwise it compacts: it
-drops the dead halves and renumbers the bins left with a partner.  Once a
-refined pool stores no more codes than live halves it continues as a
-MaterializedPool, its ascending stored codes filtered by one popcount per
-code.
+at most C(2t, t) halves per side.  A half's id is its group number, which
+indexes the per-group count of right halves, and a refine appends one key
+digit per code to it: group g and key j give bin g * (t + 1) + j.  A
+refine whose bins would still take another digit within the halves held,
+and which leaves at most a quarter of them without a partner, stays open:
+the refined pool shares its parent's halves, dead ones included, and its
+ids are the raw bins.  Otherwise it compacts: it drops the dead halves and
+numbers the bins left with a partner 0, 1, 2, ...  Once a refined pool
+stores no more codes than live halves it continues as a MaterializedPool,
+its ascending stored codes filtered by one popcount per code.
 
 Every pool stores only half of its codes.  Negating a row keeps it
 orthogonal to every other row (the XOR of ~w and u is the complement of
@@ -418,13 +417,12 @@ def weight_masks(n: int, weight: int, dtype: type = np.uint64) -> np.ndarray:
 
 
 def _join(half: int, left: np.ndarray, left_id: np.ndarray, right: np.ndarray,
-          right_id: np.ndarray) -> np.ndarray:
+          right_id: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The codes left[i] << half | right[j] with left_id[i] == right_id[j], ascending.
 
-    left must be ascending, and every left id must occur among the right ids,
-    so a pool left open by a refine drops its dead lefts first.
+    left must be ascending, and counts[g] must be the number of right ids
+    equal to g, so a left whose group has no right half joins nothing.
     """
-    counts = np.bincount(right_id)
     # sorting (id, half) keys lays the right halves out id by id, each run
     # ascending, so the run of id g starts at the number of smaller ids
     keys = np.sort((right_id.astype(np.uint64) << np.uint64(32)) | right)
@@ -503,9 +501,8 @@ class NeighborPool:
     right half form a pool vertex exactly when their group ids are equal,
     so the pool is the disjoint union over groups of left x right.
     Ascending left-then-right order is ascending code order, which makes
-    ranks agree with a sorted materialized pool.  Ids are pre-scaled:
-    group g has id g * (t + 1), so a refine's (group, key) bin is one add.
-    ``right_count[g]`` is the number of right halves in group g.
+    ranks agree with a sorted materialized pool.  A half's id is its group
+    number g, and ``right_count[g]`` is the number of right halves in group g.
 
     A pool left open by a refine holds its parent's halves and takes the
     refine's raw bins as groups, so some groups are empty and some halves
@@ -543,10 +540,11 @@ class NeighborPool:
         digit, and whose halves are at least three quarters live, leaves the
         pool open on the raw bins, which the next refine extends: keying a
         dead half costs a later refine about what dropping it costs now.
-        Otherwise the bins of both sides are renumbered jointly, in (group,
-        key, key, ...) order, and halves left without a partner are dropped:
-        the same pool as one refine per code.  Once the refined pool holds
-        no more stored codes than live halves it continues materialized.
+        Otherwise the bins of both sides are numbered jointly 0, 1, 2, ...
+        in (group, key, key, ...) order, and halves left without a partner
+        are dropped: the same pool as one refine per code.  Once the refined
+        pool holds no more stored codes than live halves it continues
+        materialized.
         The complement of a stored code is orthogonal to u exactly when the
         code is, so the refined halves still hold half the pool.
         """
@@ -565,17 +563,12 @@ class NeighborPool:
         half = 2 * self.t
         width = self.t + 1
         mask = (1 << half) - 1
-        lid = rid = None
+        lid, rid = self.left_id, self.right_id
         for code in codes:
-            kl = np.bitwise_count(self.left & np.uint32(~(code >> half) & mask))
-            kr = np.bitwise_count(self.right & np.uint32(code & mask))
-            if lid is None:
-                lid, rid = self.left_id + kl, self.right_id + kr
-            else:
-                lid *= width
-                lid += kl
-                rid *= width
-                rid += kr
+            lid = lid * width
+            lid += np.bitwise_count(self.left & np.uint32(~(code >> half) & mask))
+            rid = rid * width
+            rid += np.bitwise_count(self.right & np.uint32(code & mask))
         nl = np.bincount(lid, minlength=bins)
         nr = np.bincount(rid, minlength=bins)
         stored = int(nl @ nr)
@@ -585,32 +578,24 @@ class NeighborPool:
             # stay open while at most a quarter of the halves lack a partner
             live = int((nl + nr) @ both)
             if stored > live and 4 * live >= 3 * halves:
-                lid *= width
-                rid *= width
                 return NeighborPool(t=self.t, left=self.left, left_id=lid, right=self.right,
                                     right_id=rid, right_count=nr, size=2 * stored)
         left, lid = _partnered(self.left, lid, both)
         right, rid = _partnered(self.right, rid, both)
-        if stored <= left.size + right.size:
-            return MaterializedPool(t=self.t, array=_join(half, left, lid, right, rid))
         kept = both.nonzero()[0]
         # nl is spent: reuse it as the bin -> new id table, read at kept bins only
         renumber = nl
-        renumber[kept] = np.arange(0, kept.size * width, width)
-        return NeighborPool(
-            t=self.t,
-            left=left,
-            left_id=renumber.take(lid),
-            right=right,
-            right_id=renumber.take(rid),
-            right_count=nr.take(kept),
-            size=2 * stored,
-        )
+        renumber[kept] = np.arange(kept.size)
+        lid, rid, counts = renumber.take(lid), renumber.take(rid), nr.take(kept)
+        if stored <= left.size + right.size:
+            return MaterializedPool(t=self.t, array=_join(half, left, lid, right, rid, counts))
+        return NeighborPool(t=self.t, left=left, left_id=lid, right=right, right_id=rid,
+                            right_count=counts, size=2 * stored)
 
     def code_at(self, r: int) -> int:
         """The rank-r code of the pool in ascending order."""
         r, flip = _mirror(r, self.size, self.t)
-        per_left = self.right_count[self.left_id // (self.t + 1)]
+        per_left = self.right_count.take(self.left_id)
         ends = np.cumsum(per_left)
         i = int(np.searchsorted(ends, r, side="right"))
         partners = self.right[self.right_id == self.left_id[i]]
@@ -619,10 +604,8 @@ class NeighborPool:
 
     def codes(self) -> np.ndarray:
         """Materialize the pool as an ascending uint64 code array."""
-        # dead lefts, left in an open pool, have no partner for _join to find
-        live = self.right_count[self.left_id // (self.t + 1)].nonzero()[0]
-        left, left_id = self.left.take(live), self.left_id.take(live)
-        stored = _join(2 * self.t, left, left_id, self.right, self.right_id)
+        stored = _join(2 * self.t, self.left, self.left_id, self.right, self.right_id,
+                       self.right_count)
         return _unfold(stored, self.t)
 
 
@@ -712,13 +695,11 @@ def vertex_pool(t: int) -> NeighborPool:
     """
     pool_bytes(t)
     _keep_freed_memory()
-    width = t + 1
     halves = weight_masks(2 * t, t, np.uint32)
     left = halves[: halves.size // 2]
-    right_group = np.bitwise_count(halves & np.uint32((1 << t) - 1)).astype(np.intp)
-    left_id = np.bitwise_count(left >> np.uint32(t)).astype(np.intp) * width
-    right_id = right_group * width
-    right_count = np.bincount(right_group, minlength=width)
+    left_id = np.bitwise_count(left >> np.uint32(t)).astype(np.intp)
+    right_id = np.bitwise_count(halves & np.uint32((1 << t) - 1)).astype(np.intp)
+    right_count = np.bincount(right_id, minlength=t + 1)
     for arr in (left_id, right_id, right_count):
         arr.flags.writeable = False
     return NeighborPool(

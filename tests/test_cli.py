@@ -369,6 +369,14 @@ def test_bench_census(capsys):
     assert "all equalities hold" in capsys.readouterr().out
 
 
+def test_bench_census_refuses_t(capsys):
+    # the census always covers t = 1..7, so a single --t is a usage error
+    assert main(["bench", "census", "--t", "3"]) == EX_USAGE
+    captured = capsys.readouterr()
+    assert "census:" not in captured.out
+    assert "--t" in captured.err
+
+
 def test_bench_exact_single_t(capsys):
     assert main(["bench", "exact", "--reps", "1", "--t", "2"]) == EX_OK
     out = capsys.readouterr().out

@@ -95,6 +95,25 @@ def test_start_vertex_is_kept():
         assert 684646 in e.clique.codes
 
 
+@pytest.mark.parametrize(
+    "code, match",
+    [
+        (3, "2 one-bits, expected 10"),
+        (1 << 20, "does not fit in 20 bits"),
+        (0b11111_00000_11111_00000, "quarter one-bit counts"),
+    ],
+)
+def test_bad_start_vertex_is_refused_before_any_pool(monkeypatch, code, match):
+    # decoded once, by the config, as a start of another t is refused
+    def built(t):
+        raise AssertionError(f"vertex_pool({t}) built for a refused start")
+
+    monkeypatch.setattr(exact, "vertex_pool", built)
+    monkeypatch.setattr(graph, "vertex_pool", built)
+    with pytest.raises(ValueError, match=match):
+        ExactSearchConfig(t=5, essays=2, start_vertex=graph.VertexCode(t=5, code=code, k=0))
+
+
 def test_time_limit_still_produces_one_essay():
     rep = run_exact(ExactSearchConfig(t=3, essays=50, rng_seed=0), time_limit=0.0)
     assert len(rep.essays) >= 1

@@ -370,8 +370,7 @@ def test_vertex_pool_builds_whatever_libc_offers(monkeypatch, libc):
 
 def _dead(pool: NeighborPool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per half, whether its bin lacks a partner on the other side; and whether each bin is empty."""
-    width = pool.t + 1
-    lbin, rbin = pool.left_id // width, pool.right_id // width
+    lbin, rbin = pool.left_id, pool.right_id
     lefts = np.bincount(lbin, minlength=pool.right_count.size)
     both = np.logical_and(lefts, pool.right_count)
     return ~both[lbin], ~both[rbin], ~np.logical_or(lefts, pool.right_count)
@@ -471,3 +470,49 @@ def test_open_pools_leave_room_and_keep_the_switch_point(t, monkeypatch):
         else:
             assert pool.right_count.size * 2 <= halves
     assert 0 < opened < len(pools), (opened, len(pools))
+
+
+# open pools with dead lefts hold 0.27-3.1 M codes at t = 7..9 and 112 M at
+# t = 10, so codes() is compared up to this size only
+DEAD_LEFT_CHECK_CODES = 1 << 22
+
+
+@pytest.mark.parametrize("t", range(1, 11))
+def test_ids_index_their_group_counts(t):
+    # a half's id is its group number: right_count[g] counts the right
+    # halves with id g, in open pools too, so codes() of an open pool joins
+    # on right_count as it stands, dead lefts and all.  Each chain refines
+    # by batches of one to four codes, drawn along single refines
+    rng = Random(400 + t)
+    whole = vertex_pool(t)
+    pools = dead_lefts = 0
+
+    def check(pool, clique):
+        nonlocal pools, dead_lefts
+        if not isinstance(pool, NeighborPool):
+            return
+        pools += 1
+        counts = pool.right_count
+        assert pool.left_id.max(initial=0) < counts.size
+        assert pool.right_id.max(initial=0) < counts.size
+        assert np.array_equal(counts, np.bincount(pool.right_id, minlength=counts.size))
+        if counts.take(pool.left_id).all() or pool.size > DEAD_LEFT_CHECK_CODES:
+            return
+        dead_lefts += 1
+        assert np.array_equal(pool.codes(), whole.refine(*clique).codes())
+
+    check(whole, [])
+    for _ in range(6):
+        pool, clique = whole, []
+        while pool.size:
+            probe, c, batch = pool, rng.choice((1, 2, 3, 4)), []
+            while probe.size and len(batch) < c:
+                batch.append(probe.code_at(rng.randrange(probe.size)))
+                probe = probe.refine(batch[-1])
+                check(probe, clique + batch)
+            clique += batch
+            pool = pool.refine(*batch)
+            check(pool, clique)
+    assert pools
+    # t <= 4 has too few bins to leave a pool open, t = 10 only larger pools
+    assert dead_lefts or not 5 <= t <= 9, dead_lefts
