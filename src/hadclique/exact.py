@@ -31,7 +31,7 @@ from .graph import (
     vertex_pool,
 )
 from .oracle import verify_clique
-from .report import EssayResult, SearchReport, _check_run, run_essays
+from .report import EssayResult, SearchReport, _check_int, _check_run, run_essays
 
 __all__ = ["ExactSearchConfig", "run_exact", "extend_exact"]
 
@@ -45,6 +45,7 @@ class ExactSearchConfig:
 
     def __post_init__(self) -> None:
         pool_bytes(self.t)
+        _check_int("essays", self.essays)
         if self.essays < 1:
             raise ValueError(f"essays must be positive, got {self.essays}")
         if self.start_vertex is None:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 from .errors import BothEmpty, HadcliqueError
 from .exact import extend_exact
 from .graph import Clique, pool_bytes, random_vertex, vertex_pool
-from .report import EssayResult, SearchReport, _check_run, run_essays
+from .report import EssayResult, SearchReport, _check_int, _check_run, run_essays
 
 __all__ = ["GaConfig", "crossover", "repair", "mutate", "run_ga", "run_many"]
 
@@ -35,6 +35,8 @@ class GaConfig:
 
     def __post_init__(self) -> None:
         pool_bytes(self.t)
+        _check_int("population_size", self.population_size)
+        _check_int("max_generations", self.max_generations)
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")
         if self.t == 1:

@@ -439,10 +439,7 @@ def _partnered(
     halves: np.ndarray, ids: np.ndarray, both: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The halves whose bin has a partner on the other side, with their ids."""
-    keep = both.take(ids)
-    if keep.all():
-        return halves, ids
-    kept = keep.nonzero()[0]
+    kept = both.take(ids).nonzero()[0]
     return halves.take(kept), ids.take(kept)
 
 
@@ -479,7 +476,7 @@ class MaterializedPool:
         """The sub-pool of codes also orthogonal to every one of ``codes``."""
         array = self.array
         for code in codes:
-            array = array[np.bitwise_count(array ^ np.uint64(code)) == 2 * self.t]
+            array = array[np.bitwise_count(array ^ code) == 2 * self.t]
         return MaterializedPool(t=self.t, array=array)
 
     def code_at(self, r: int) -> int:
@@ -566,9 +563,9 @@ class NeighborPool:
         lid, rid = self.left_id, self.right_id
         for code in codes:
             lid = lid * width
-            lid += np.bitwise_count(self.left & np.uint32(~(code >> half) & mask))
+            lid += np.bitwise_count(self.left & (~(code >> half) & mask))
             rid = rid * width
-            rid += np.bitwise_count(self.right & np.uint32(code & mask))
+            rid += np.bitwise_count(self.right & (code & mask))
         nl = np.bincount(lid, minlength=bins)
         nr = np.bincount(rid, minlength=bins)
         stored = int(nl @ nr)
@@ -595,12 +592,11 @@ class NeighborPool:
     def code_at(self, r: int) -> int:
         """The rank-r code of the pool in ascending order."""
         r, flip = _mirror(r, self.size, self.t)
-        per_left = self.right_count.take(self.left_id)
-        ends = np.cumsum(per_left)
+        ends = self.right_count.take(self.left_id).cumsum()
         i = int(np.searchsorted(ends, r, side="right"))
-        partners = self.right[self.right_id == self.left_id[i]]
-        code = (int(self.left[i]) << (2 * self.t)) | int(partners[r - int(ends[i] - per_left[i])])
-        return code ^ flip
+        g = self.left_id[i]
+        right = self.right[np.flatnonzero(self.right_id == g)[r - ends[i] + self.right_count[g]]]
+        return ((int(self.left[i]) << (2 * self.t)) | int(right)) ^ flip
 
     def codes(self) -> np.ndarray:
         """Materialize the pool as an ascending uint64 code array."""

@@ -8,6 +8,7 @@ data; serialization lives in :mod:`hadclique.files`.
 
 from __future__ import annotations
 
+import operator
 import os
 import signal
 import time
@@ -115,13 +116,31 @@ def _may_claim(i: int, essays: int, jobs: int, deadline: float | None) -> bool:
     return i < essays and (i < jobs or deadline is None or time.perf_counter() <= deadline)
 
 
+def _check_int(name: str, value: object) -> None:
+    """ValueError unless value is an int: what operator.index accepts, bool excepted.
+
+    A float or bool count would otherwise run a rounded number of essays or
+    chromosomes and echo the value as given.
+    """
+    try:
+        operator.index(value)
+    except TypeError:
+        pass
+    else:
+        if not isinstance(value, bool):
+            return
+    raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def _check_run(essays: int, jobs: int, time_limit: float | None) -> None:
-    """ValueError for essays or jobs below 1, or a time_limit not >= 0 (negative or NaN).
+    """ValueError for essays or jobs not an int of at least 1, or a negative or NaN time_limit.
 
     A search calls it before building its tables, so a refused run builds nothing.
     """
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time_limit must be nonnegative, got {time_limit}")
+    _check_int("essays", essays)
+    _check_int("jobs", jobs)
     if essays < 1:
         raise ValueError(f"essays must be positive, got {essays}")
     if jobs < 1:

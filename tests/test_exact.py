@@ -9,12 +9,15 @@ from hadclique import (
     InvalidClique,
     Clique,
     ExactSearchConfig,
+    SignMatrix,
     adjacency,
     brute_adjacency_codes,
     clique_from_codes,
     decode,
     degree,
     extend_exact,
+    matrix_to_clique,
+    normalize,
     paley_seed,
     random_vertex,
     run_exact,
@@ -23,6 +26,7 @@ from hadclique import (
 from hadclique import exact, graph
 from hadclique.exact import _random_start
 from hadclique.graph import BASE_BYTES, pool_bytes
+from hadclique.seeds import _paley_block
 
 
 def test_config_validation():
@@ -63,6 +67,21 @@ def test_no_essay_ends_in_the_completion_band(t):
     rep = run_exact(ExactSearchConfig(t=t, essays=200))
     band = range(4 * t - 10, 4 * t - 3)
     assert not [e.size for e in rep.essays if e.size in band]
+
+
+@pytest.mark.parametrize("t", [6, 7, 9, 10])
+def test_extend_exact_regrows_a_full_clique_missing_up_to_seven_members(t):
+    # by the same theorem, a clique that keeps at least 4t - 10 members of
+    # a full one regrows to 4t - 3 whatever it picks; this reaches t past
+    # the oracle's range
+    full = matrix_to_clique(normalize(SignMatrix.from_array(_paley_block(2 * t - 1))))
+    assert len(full) == 4 * t - 3
+    rng = Random(t)
+    for _ in range(10):
+        kept = rng.sample(full.codes, len(full) - rng.randint(1, 7))
+        out = extend_exact(clique_from_codes(t, kept), rng)
+        assert len(out) == 4 * t - 3
+        assert verify_clique(out)
 
 
 def test_deterministic_under_seed_and_jobs():
@@ -128,6 +147,19 @@ def test_refused_jobs_build_no_pool(monkeypatch, jobs):
     monkeypatch.setattr(graph, "vertex_pool", built)
     with pytest.raises(ValueError, match="jobs must be positive"):
         run_exact(ExactSearchConfig(t=5, essays=2), jobs=jobs)
+
+
+@pytest.mark.parametrize(
+    "essays, jobs, refused", [(2.5, 1, "essays"), (True, 1, "essays"), (2, 1.5, "jobs")]
+)
+def test_a_count_that_is_not_an_int_builds_no_pool(monkeypatch, essays, jobs, refused):
+    def built(t):
+        raise AssertionError(f"vertex_pool({t}) built for a refused run")
+
+    monkeypatch.setattr(exact, "vertex_pool", built)
+    monkeypatch.setattr(graph, "vertex_pool", built)
+    with pytest.raises(ValueError, match=f"{refused} must be an int"):
+        run_exact(ExactSearchConfig(t=4, essays=essays), jobs=jobs)
 
 
 def test_report_shape():

@@ -226,6 +226,27 @@ def test_refused_run_many_builds_no_pool(monkeypatch, essays, jobs, refused):
         run_many(GaConfig(t=5), essays=essays, jobs=jobs)
 
 
+@pytest.mark.parametrize(
+    "knobs, essays, jobs, refused",
+    [
+        ({}, 1.5, 1, "essays"),
+        ({}, True, 1, "essays"),
+        ({}, 2, 1.5, "jobs"),
+        ({"population_size": 2.5}, 1, 1, "population_size"),
+        ({"max_generations": 1.5}, 1, 1, "max_generations"),
+    ],
+)
+def test_a_count_that_is_not_an_int_builds_no_pool(monkeypatch, knobs, essays, jobs, refused):
+    def built(t):
+        raise AssertionError(f"vertex_pool({t}) built for a refused run")
+
+    monkeypatch.setattr(ga, "vertex_pool", built)
+    monkeypatch.setattr(exact, "vertex_pool", built)
+    monkeypatch.setattr(graph, "vertex_pool", built)
+    with pytest.raises(ValueError, match=f"{refused} must be an int"):
+        run_many(GaConfig(t=4, **knobs), essays=essays, jobs=jobs)
+
+
 def test_first_best_generation_recorded():
     essay = run_ga(GaConfig(t=2, rng_seed=0))
     trace = essay.generations

@@ -11,6 +11,7 @@ import tempfile
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from hadclique import Clique
@@ -89,6 +90,21 @@ def test_nonpositive_essays_or_jobs_raise(essays, jobs, tmp_path):
     with pytest.raises(ValueError):
         run_essays("stub", 2, CONFIG, _stub(tmp_path), essays=essays, jobs=jobs)
     assert _calls(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "essays, jobs, refused",
+    [(2.5, 1, "essays"), (True, 1, "essays"), (3, 1.5, "jobs"), (3, False, "jobs")],
+)
+def test_a_count_that_is_not_an_int_is_refused(essays, jobs, refused, tmp_path):
+    with pytest.raises(ValueError, match=f"{refused} must be an int"):
+        run_essays("stub", 2, CONFIG, _stub(tmp_path), essays=essays, jobs=jobs)
+    assert _calls(tmp_path) == []
+
+
+def test_numpy_ints_are_counts(tmp_path):
+    rep = run_essays("stub", 2, CONFIG, _stub(tmp_path), essays=np.int64(2), jobs=np.int8(1))
+    assert [e.index for e in rep.essays] == [0, 1]
 
 
 def test_two_jobs_run_the_essays_in_other_processes(tmp_path):
