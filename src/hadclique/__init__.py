@@ -58,7 +58,6 @@ from .exact import ExactSearchConfig, extend_exact, run_exact
 from .fast import FastConfig, buildgrapas, run_fast
 from .files import format_clique_text, parse_clique_text, read_clique, write_report
 from .ga import GaConfig, crossover, mutate, repair, run_ga
-from .report import EssayResult, SearchReport
 from .seeds import (
     format_sign_matrix,
     ingest_sign_matrix,

@@ -351,15 +351,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _Usage as exc:
-        print(f"hadclique: usage error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    except SystemExit as exc:  # --help and friends
-        return int(exc.code or 0)
-    handler = {
+    """Parse argv, run its subcommand and return the exit code.
+
+    One handler maps every error to its documented code: a bad argument,
+    from the parser or a subcommand, is a usage error (64); a library error
+    or a file that cannot be read or written is 1. --help returns 0.
+    """
+    handlers = {
         "stats": cmd_stats,
         "search": cmd_search,
         "verify": cmd_verify,
@@ -367,16 +365,16 @@ def main(argv: list[str] | None = None) -> int:
         "paley": cmd_paley,
         "extend": cmd_extend,
         "bench": cmd_bench,
-    }[args.command]
+    }
     try:
-        return handler(args)
+        args = build_parser().parse_args(argv)
+        return handlers[args.command](args)
+    except SystemExit as exc:  # --help and friends
+        return int(exc.code or 0)
     except _Usage as exc:
         print(f"hadclique: usage error: {exc}", file=sys.stderr)
         return EX_USAGE
-    except HadcliqueError as exc:
-        print(f"hadclique: {exc}", file=sys.stderr)
-        return EX_VERIFY
-    except OSError as exc:
+    except (HadcliqueError, OSError) as exc:
         print(f"hadclique: {exc}", file=sys.stderr)
         return EX_VERIFY
 

@@ -44,10 +44,10 @@ class ExactSearchConfig:
     start_vertex: VertexCode | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "t", _check_int("t", self.t))
+        object.__setattr__(self, "rng_seed", _check_int("rng_seed", self.rng_seed))
+        _check_int("essays", self.essays, 1)
         pool_bytes(self.t)
-        _check_int("essays", self.essays)
-        if self.essays < 1:
-            raise ValueError(f"essays must be positive, got {self.essays}")
         if self.start_vertex is None:
             return
         if self.start_vertex.t != self.t:
@@ -118,19 +118,19 @@ def run_exact(cfg: ExactSearchConfig, jobs: int = 1, time_limit: float | None = 
     Essay i draws all randomness from Random(rng_seed + i), so results are
     reproducible and independent of jobs. Every essay runs to a maximal
     clique: memory is set by the pool's halves, not by any degree, and
-    graph.pool_bytes must admit min(jobs, essays) essays at once, as many
-    as run_essays runs. vertex_pool(t) is built before run_essays forks, so
-    its workers share it, and after the run's arguments are checked, so a
-    refused run builds nothing. run_essays holds the worker and time_limit
-    rules; a started essay is not interrupted.
+    graph.pool_bytes must admit the essays that run at once, the count
+    report._check_run returns and run_essays forks on. vertex_pool(t) is
+    built before run_essays forks, so its workers share it, and after the
+    run's arguments are checked, so a refused run builds nothing. run_essays
+    holds the worker and time_limit rules; a started essay is not
+    interrupted.
     """
     config = (
         ("essays", cfg.essays),
         ("rng_seed", cfg.rng_seed),
         ("start_vertex", "-" if cfg.start_vertex is None else cfg.start_vertex.code),
     )
-    _check_run(cfg.essays, jobs, time_limit)
-    pool_bytes(cfg.t, min(jobs, cfg.essays))
+    pool_bytes(cfg.t, _check_run(cfg.essays, jobs, time_limit))
     vertex_pool(cfg.t)
     return run_essays(
         "exact", cfg.t, config, lambda i: _greedy_essay(cfg, i), cfg.essays, jobs, time_limit

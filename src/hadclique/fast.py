@@ -41,7 +41,7 @@ from .graph import (
     weight_masks,
 )
 from .oracle import verify_clique
-from .report import EssayResult, SearchReport, run_essays
+from .report import EssayResult, SearchReport, _check_int, run_essays
 
 __all__ = ["FastConfig", "buildgrapas", "run_fast", "run_many"]
 
@@ -59,6 +59,8 @@ class FastConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "t", _check_int("t", self.t))
+        object.__setattr__(self, "rng_seed", _check_int("rng_seed", self.rng_seed))
         # graph.MAX_T (4t <= 64) also bounds the per-quarter search, which
         # tests the C(16, 8) = 12870 masks of a quarter against <= 61 members
         # at t = 16 (_valid_rows) and scores the valid ones (_inner_search),

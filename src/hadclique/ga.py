@@ -34,11 +34,11 @@ class GaConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "t", _check_int("t", self.t))
+        object.__setattr__(self, "rng_seed", _check_int("rng_seed", self.rng_seed))
+        _check_int("population_size", self.population_size, 2)
+        _check_int("max_generations", self.max_generations, 0)
         pool_bytes(self.t)
-        _check_int("population_size", self.population_size)
-        _check_int("max_generations", self.max_generations)
-        if self.population_size < 2:
-            raise ValueError("population_size must be at least 2")
         if self.t == 1:
             # G_1 is two isolated vertices, and every essay starts at the
             # class-0 one, so seeding finds one distinct clique however long it runs
@@ -46,8 +46,6 @@ class GaConfig:
                 f"seeding in G_1 reaches one distinct clique, too few for a population of "
                 f"{self.population_size}"
             )
-        if self.max_generations < 0:
-            raise ValueError("max_generations must be nonnegative")
         if not 0.0 <= self.p_m <= 1.0:
             raise ValueError(f"p_m must lie in [0, 1], got {self.p_m}")
         if not 0.5 <= self.p_b <= 1.0:
@@ -198,10 +196,11 @@ def run_many(
 ) -> SearchReport:
     """Independent GA runs through report.run_essays, which holds the worker
     and time_limit rules. Run i is run_ga(cfg, i), so it uses rng_seed + i
-    and jobs never changes results. graph.pool_bytes must admit
-    min(jobs, essays) runs at once, as many as run_essays runs, and
-    vertex_pool(t) is built before run_essays forks, so its workers share it,
-    and after the run's arguments are checked, so a refused run builds nothing.
+    and jobs never changes results. graph.pool_bytes must admit the runs
+    that go at once, the count report._check_run returns and run_essays
+    forks on, and vertex_pool(t) is built before run_essays forks, so its
+    workers share it, and after the run's arguments are checked, so a
+    refused run builds nothing.
     """
     config = (
         ("population_size", cfg.population_size),
@@ -211,7 +210,6 @@ def run_many(
         ("rng_seed", cfg.rng_seed),
         ("essays", essays),
     )
-    _check_run(essays, jobs, time_limit)
-    pool_bytes(cfg.t, min(jobs, essays))
+    pool_bytes(cfg.t, _check_run(essays, jobs, time_limit))
     vertex_pool(cfg.t)
     return run_essays("ga", cfg.t, config, lambda i: run_ga(cfg, i), essays, jobs, time_limit)

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations_with_replacement, permutations
 from random import Random
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -130,9 +130,6 @@ class Clique:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
 
     @property
     def codes(self) -> list[int]:

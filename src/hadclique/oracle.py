@@ -135,9 +135,6 @@ def verify_clique(c: Clique) -> Report:
     return Report(True, f"clique of size {n} in G_{c.t} verified")
 
 
-CANONICAL_ROWS = 3
-
-
 def _canonical_rows(t: int) -> np.ndarray:
     n = 4 * t
     row1 = np.ones(n, dtype=np.int64)

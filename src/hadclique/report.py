@@ -107,44 +107,46 @@ class SearchReport:
 _SEND_S = 0.1
 
 
-def _may_claim(i: int, essays: int, jobs: int, deadline: float | None) -> bool:
-    """Whether essay i starts: the first jobs always do, later ones until the deadline.
+def _may_claim(i: int, essays: int, at_once: int, deadline: float | None) -> bool:
+    """Whether essay i starts: the first at_once always do, later ones until the deadline.
 
     The deadline is a perf_counter reading of the caller's; it holds in a
     forked worker because perf_counter reads the system's monotonic clock.
     """
-    return i < essays and (i < jobs or deadline is None or time.perf_counter() <= deadline)
+    return i < essays and (i < at_once or deadline is None or time.perf_counter() <= deadline)
 
 
-def _check_int(name: str, value: object) -> None:
-    """ValueError unless value is an int: what operator.index accepts, bool excepted.
+def _check_int(name: str, value: object, least: int | None = None) -> int:
+    """value as a plain int, or ValueError naming name.
 
-    A float or bool count would otherwise run a rounded number of essays or
-    chromosomes and echo the value as given.
+    value must be what operator.index accepts, bool excepted, and not below
+    least when least is given. A float or bool count would otherwise run a
+    rounded number of essays or chromosomes and echo the value as given. The
+    plain int is what a config keeps of its t and rng_seed: codes are Python
+    ints, and random.Random takes no numpy integer.
     """
     try:
-        operator.index(value)
+        n = operator.index(value)
     except TypeError:
-        pass
-    else:
-        if not isinstance(value, bool):
-            return
-    raise ValueError(f"{name} must be an int, got {value!r}")
+        n = None
+    if n is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if least is not None and n < least:
+        bound = {0: "nonnegative", 1: "positive"}.get(least, f"at least {least}")
+        raise ValueError(f"{name} must be {bound}, got {n}")
+    return n
 
 
-def _check_run(essays: int, jobs: int, time_limit: float | None) -> None:
-    """ValueError for essays or jobs not an int of at least 1, or a negative or NaN time_limit.
+def _check_run(essays: int, jobs: int, time_limit: float | None) -> int:
+    """The essays that run at once, min(jobs, essays).
 
-    A search calls it before building its tables, so a refused run builds nothing.
+    ValueError for essays or jobs not an int of at least 1, or a negative
+    or NaN time_limit. A search calls it before building its tables, so a
+    refused run builds nothing, and sizes its memory by what it returns.
     """
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time_limit must be nonnegative, got {time_limit}")
-    _check_int("essays", essays)
-    _check_int("jobs", jobs)
-    if essays < 1:
-        raise ValueError(f"essays must be positive, got {essays}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive, got {jobs}")
+    return min(_check_int("essays", essays, 1), _check_int("jobs", jobs, 1))
 
 
 def run_essays(
@@ -158,33 +160,34 @@ def run_essays(
 ) -> SearchReport:
     """Run essay(0) .. essay(essays - 1) and collect them in a report.
 
-    jobs = 1 runs the essays inline on the caller's thread. jobs > 1 forks
-    min(jobs, essays) worker processes, once per call, which claim the
-    next essay index from one shared counter. The workers inherit the
-    essay, which is never pickled, and the read-only tables it uses, whose
-    pages they share with the caller until written. Fork copies only the
-    calling thread, so a caller that runs other threads should pass
+    _check_run gives the number of essays that run at once, min(jobs,
+    essays). When it is 1 the essays run inline on the caller's thread.
+    Otherwise that many worker processes are forked, once per call, which
+    claim the next essay index from one shared counter. The workers inherit
+    the essay, which is never pickled, and the read-only tables it uses,
+    whose pages they share with the caller until written. Fork copies only
+    the calling thread, so a caller that runs other threads should pass
     jobs = 1. Where fork is unavailable the essays run inline.
     time_limit, in seconds from the call, is checked before each essay
-    starts: essays 0 .. jobs - 1 always run, a started essay always
-    finishes, and no later one starts once it has passed. The report holds
-    essays 0 .. n - 1 in index order, so when each essay draws its
+    starts: the first min(jobs, essays) essays always run, a started essay
+    always finishes, and no later one starts once it has passed. The report
+    holds essays 0 .. n - 1 in index order, so when each essay draws its
     randomness from its index the report does not depend on jobs. An
     exception raised by an essay reaches the caller with its type. Arguments
     that _check_run refuses raise ValueError.
     """
-    _check_run(essays, jobs, time_limit)
+    at_once = _check_run(essays, jobs, time_limit)
     started = utc_stamp()
     deadline = None if time_limit is None else time.perf_counter() + time_limit
     results = None
-    if min(jobs, essays) > 1:
+    if at_once > 1:
         import multiprocessing  # here only: a jobs = 1 caller may call once per essay
 
         if "fork" in multiprocessing.get_all_start_methods():
-            results = _run_forked(multiprocessing.get_context("fork"), essay, essays, jobs, deadline)
+            results = _run_forked(multiprocessing.get_context("fork"), essay, essays, at_once, deadline)
     if results is None:
         results = []
-        while _may_claim(len(results), essays, jobs, deadline):
+        while _may_claim(len(results), essays, at_once, deadline):
             results.append(essay(len(results)))
     return SearchReport(
         algorithm=algorithm,
@@ -199,7 +202,7 @@ def run_essays(
 def _work(
     essay: Callable[[int], EssayResult],
     essays: int,
-    jobs: int,
+    at_once: int,
     deadline: float | None,
     counter: Any,
     conn: Any,
@@ -218,7 +221,7 @@ def _work(
         while os.getppid() == parent:
             with counter.get_lock():
                 i = counter.value
-                if not _may_claim(i, essays, jobs, deadline):
+                if not _may_claim(i, essays, at_once, deadline):
                     break
                 counter.value = i + 1
             batch.append(essay(i))
@@ -233,9 +236,9 @@ def _work(
 
 
 def _run_forked(
-    ctx: Any, essay: Callable[[int], EssayResult], essays: int, jobs: int, deadline: float | None
+    ctx: Any, essay: Callable[[int], EssayResult], essays: int, at_once: int, deadline: float | None
 ) -> list[EssayResult]:
-    """Essays 0 .. n - 1 from min(jobs, essays) forked workers, in index order.
+    """Essays 0 .. n - 1 from at_once forked workers, in index order.
 
     The parent only reads the pipes. It always joins the workers, and
     terminates them first when it raises, on an essay's error or its own.
@@ -252,9 +255,9 @@ def _run_forked(
     results: list[EssayResult] = []
     shared: dict[int, int] = {}
     try:
-        for _ in range(min(jobs, essays)):
+        for _ in range(at_once):
             reader, writer = ctx.Pipe(duplex=False)
-            worker = ctx.Process(target=_work, args=(essay, essays, jobs, deadline, counter, writer, parent))
+            worker = ctx.Process(target=_work, args=(essay, essays, at_once, deadline, counter, writer, parent))
             worker.start()
             writer.close()
             workers.append(worker)

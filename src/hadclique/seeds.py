@@ -69,6 +69,12 @@ def normalize(M: SignMatrix) -> NormalizedMatrix:
     columns with a positive one; step 3 does the same per half for the
     third row. Each step preserves all row inner products, so the
     orthogonality structure is untouched.
+
+    The Gram test, which refuses any two rows that are not orthogonal, is
+    the only balance check the swaps need. After step 1 row 0 is all +1, so
+    row 1 sums to 0 and has as many -1s in the left half as +1s in the
+    right half. Row 2 is orthogonal to rows 0 and 1, so each half of it sums
+    to 0, and the same holds within each half.
     """
     m, n = M.m, M.n
     if m < 3 or n < 4 or n % 4:
@@ -92,15 +98,11 @@ def normalize(M: SignMatrix) -> NormalizedMatrix:
     half = 2 * t
     lo = np.nonzero(arr[1, :half] < 0)[0]
     hi = half + np.nonzero(arr[1, half:] > 0)[0]
-    if len(lo) != len(hi):
-        raise NotOrthogonal("second row is not balanced against the all-plus row")
     swap(lo, hi)
 
     for base in (0, half):
         lo = base + np.nonzero(arr[2, base:base + t] < 0)[0]
         hi = base + t + np.nonzero(arr[2, base + t:base + 2 * t] > 0)[0]
-        if len(lo) != len(hi):
-            raise NotOrthogonal("third row is not balanced within a half")
         swap(lo, hi)
 
     return NormalizedMatrix(SignMatrix.from_array(arr))

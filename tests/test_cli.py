@@ -347,6 +347,11 @@ def test_paley_impossible_exits_2(capsys):
     assert "no seed" in capsys.readouterr().err
 
 
+def test_paley_t0_is_a_usage_error(capsys):
+    assert main(["paley", "--t", "0"]) == EX_USAGE
+    assert "paley needs --t >= 1" in capsys.readouterr().err
+
+
 def test_extend_grows_clique(tmp_path, capsys):
     p = tmp_path / "seed.clq"
     p.write_text("2\n166 101\n")

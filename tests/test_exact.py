@@ -133,6 +133,16 @@ def test_bad_start_vertex_is_refused_before_any_pool(monkeypatch, code, match):
         ExactSearchConfig(t=5, essays=2, start_vertex=graph.VertexCode(t=5, code=code, k=0))
 
 
+def test_a_start_vertex_of_another_t_is_refused_before_any_pool(monkeypatch):
+    def built(t):
+        raise AssertionError(f"vertex_pool({t}) built for a refused start")
+
+    monkeypatch.setattr(exact, "vertex_pool", built)
+    monkeypatch.setattr(graph, "vertex_pool", built)
+    with pytest.raises(ValueError, match="different G_t"):
+        ExactSearchConfig(t=5, essays=2, start_vertex=random_vertex(4, Random(0)))
+
+
 def test_time_limit_still_produces_one_essay():
     rep = run_exact(ExactSearchConfig(t=3, essays=50, rng_seed=0), time_limit=0.0)
     assert len(rep.essays) >= 1

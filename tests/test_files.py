@@ -136,3 +136,9 @@ def test_read_report_rejects_junk(tmp_path):
     p.write_text("algorithm exact\n")
     with pytest.raises(HadcliqueError):
         read_report(p)
+
+
+def test_read_report_reads_a_bare_key_as_empty(tmp_path):
+    p = tmp_path / "bare.report"
+    p.write_text("algorithm: exact\nbest.members:\n")
+    assert read_report(p) == {"algorithm": "exact", "best.members": ""}

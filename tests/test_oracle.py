@@ -92,6 +92,13 @@ def test_verify_clique_reports_first_bad_pair():
     assert "166" in rep.message and "89" in rep.message
 
 
+def test_verify_clique_names_a_member_that_is_no_vertex():
+    # code 3 has two one-bits where a vertex of G_2 has four
+    rep = verify_clique(Clique(t=2, members=(3,)))
+    assert not rep
+    assert "member 0 (code 3) invalid" in rep.message
+
+
 def test_clique_to_matrix_canonical_rows():
     c = clique_from_codes(2, GREEDY_CLIQUES[2])
     M = clique_to_matrix(c)

@@ -1,4 +1,5 @@
-"""report.run_essays, the essay runner every search goes through, with stub essays.
+"""report.run_essays, the essay runner every search goes through, with stub essays,
+and the int checks every search config makes.
 
 With jobs > 1 the essays run in forked workers, so a stub records each call
 as a marker file under tmp_path, named by its index and holding the pid of
@@ -14,7 +15,8 @@ import time
 import numpy as np
 import pytest
 
-from hadclique import Clique
+from hadclique import Clique, ExactSearchConfig, FastConfig, GaConfig
+from hadclique import exact, fast, ga, graph
 from hadclique.errors import InvalidClique
 from hadclique.report import EssayResult, run_essays
 
@@ -188,3 +190,32 @@ def test_equal_members_from_workers_are_one_object(tmp_path):
     rep = run_essays("stub", 2, CONFIG, essay, essays=60, jobs=2)
     assert [e.clique for e in rep.essays] == [seed] * 60
     assert len({id(e.clique.members[0]) for e in rep.essays}) == 1
+
+
+@pytest.mark.parametrize("make", [ExactSearchConfig, GaConfig, FastConfig])
+@pytest.mark.parametrize("field, value", [("rng_seed", 0.5), ("rng_seed", True), ("t", 4.0), ("t", True)])
+def test_a_t_or_rng_seed_that_is_not_an_int_builds_no_pool(monkeypatch, make, field, value):
+    def built(t):
+        raise AssertionError(f"vertex_pool({t}) built for a refused config")
+
+    for module in (exact, ga, graph):
+        monkeypatch.setattr(module, "vertex_pool", built)
+    with pytest.raises(ValueError, match=f"{field} must be an int"):
+        make(**{"t": 4, field: value})
+
+
+SEARCHES = {
+    "exact": lambda t, seed: exact.run_exact(ExactSearchConfig(t=t, essays=2, rng_seed=seed)),
+    "ga": lambda t, seed: ga.run_many(GaConfig(t=t, max_generations=3, rng_seed=seed), essays=2),
+    "fast": lambda t, seed: fast.run_many(Clique(t=3, members=()), FastConfig(t=t, rng_seed=seed), essays=2),
+}
+
+
+@pytest.mark.parametrize("search", sorted(SEARCHES))
+def test_a_numpy_t_and_rng_seed_run_the_essays_of_the_equal_ints(search):
+    # random.Random takes no numpy integer, so a config keeps them as plain ints
+    a = SEARCHES[search](np.int64(3), np.int64(5))
+    b = SEARCHES[search](3, 5)
+    assert [e.clique for e in a.essays] == [e.clique for e in b.essays]
+    assert type(dict(a.config)["rng_seed"]) is int
+    assert a.config == b.config

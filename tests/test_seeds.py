@@ -23,6 +23,7 @@ from hadclique import (
     verify_ph,
 )
 from hadclique.errors import DecodeFailure
+from hadclique.seeds import NormalizedMatrix
 
 from published import GREEDY_CLIQUES
 
@@ -77,6 +78,18 @@ def test_normalize_rejects_bad_entries_and_shape():
         normalize(SignMatrix(rows=((1, 1, 1), (1, 1, -1))))
     with pytest.raises(BadShape):
         normalize(SignMatrix(rows=()))
+
+
+def test_normalize_rejects_a_zero_entry():
+    with pytest.raises(BadShape, match="entries must be"):
+        normalize(SignMatrix(rows=((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 0, -1))))
+
+
+def test_normalized_matrix_refuses_a_short_or_noncanonical_matrix():
+    with pytest.raises(BadShape, match="needs >= 3 rows"):
+        NormalizedMatrix(SignMatrix(rows=((1, 1, 1, 1), (1, 1, -1, -1))))
+    with pytest.raises(BadShape, match="not the canonical triple"):
+        NormalizedMatrix(SignMatrix(rows=((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1))))
 
 
 def test_matrix_to_clique_inverts_clique_to_matrix():
