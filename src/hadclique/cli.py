@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: stats, search, verify, normalize, paley, extend, bench.
-Exit codes: 0 success, 1 verification failure, 2 search produced nothing,
-64 usage error. The environment variable HADCLIQUE_SEED, when set,
+Exit codes: 0 success, 1 verification failure or a file that cannot be
+read (missing, a directory, or not UTF-8), 2 search produced nothing, 64
+usage error: a setting refused anywhere, by the parser, a subcommand or the
+library, as ValueError. The environment variable HADCLIQUE_SEED, when set,
 overrides --rng-seed everywhere.
 """
 
@@ -59,13 +61,9 @@ REFERENCE_SECONDS = {
 }
 
 
-class _Usage(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _Usage(message)
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,14 +123,14 @@ def _effective_seed(args: argparse.Namespace) -> int:
         try:
             return int(env)
         except ValueError:
-            raise _Usage(f"HADCLIQUE_SEED must be an integer, got {env!r}") from None
+            raise ValueError(f"HADCLIQUE_SEED must be an integer, got {env!r}") from None
     return args.rng_seed
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     t = args.t
     if not 1 <= t <= graph.MAX_T:
-        raise _Usage(f"stats needs 1 <= t <= {graph.MAX_T}, got {t}")
+        raise ValueError(f"stats needs 1 <= t <= {graph.MAX_T}, got {t}")
     print(f"G_{t}: width 4t = {4 * t}")
     print(f"{'k':>3} {'vertices':>12} {'degree':>14}")
     for k in range(t + 1):
@@ -156,43 +154,33 @@ def _human_report(rep: SearchReport) -> None:
     print("members:", " ".join(str(c) for c in best.codes))
 
 
-def _refused(call: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-    """call(*args, **kwargs), raising a ValueError it raises as a usage error."""
-    try:
-        return call(*args, **kwargs)
-    except ValueError as exc:
-        raise _Usage(str(exc)) from None
-
-
 def _search(
     algorithm: str, t: int, essays: int, rng_seed: int, seed: Clique | None = None, **ga_knobs: Any
 ) -> Callable[..., SearchReport]:
     """The search, built now, as a call that takes jobs and time_limit.
 
-    A setting refused when it is built or run is a usage error. seed (fast's
+    A setting refused when it is built or run raises ValueError. seed (fast's
     start, empty by default) and ga_knobs (GaConfig fields) only apply to
     their own search.
     """
     if algorithm == "exact":
-        cfg = _refused(exact.ExactSearchConfig, t=t, essays=essays, rng_seed=rng_seed)
-        run = partial(exact.run_exact, cfg)
-    elif algorithm == "ga":
-        run = partial(ga.run_many, _refused(ga.GaConfig, t=t, rng_seed=rng_seed, **ga_knobs), essays)
-    else:
-        base = Clique(t=t, members=()) if seed is None else seed
-        run = partial(fast.run_many, base, _refused(fast.FastConfig, t=t, rng_seed=rng_seed), essays)
-    return partial(_refused, run)
+        cfg = exact.ExactSearchConfig(t=t, essays=essays, rng_seed=rng_seed)
+        return partial(exact.run_exact, cfg)
+    if algorithm == "ga":
+        return partial(ga.run_many, ga.GaConfig(t=t, rng_seed=rng_seed, **ga_knobs), essays)
+    base = Clique(t=t, members=()) if seed is None else seed
+    return partial(fast.run_many, base, fast.FastConfig(t=t, rng_seed=rng_seed), essays)
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    if args.t is None or args.t < 1:
-        raise _Usage("search needs --t >= 1")
+    if args.t is None:
+        raise ValueError("search needs --t")
     if args.seed_file and args.algorithm != "fast":
-        raise _Usage(f"--seed-file seeds only search fast, not {args.algorithm}")
+        raise ValueError(f"--seed-file seeds only search fast, not {args.algorithm}")
     seed = _effective_seed(args)
     base = read_clique(args.seed_file) if args.seed_file else Clique(t=args.t, members=())
     if base.t != args.t:
-        raise _Usage(f"--seed-file holds a G_{base.t} clique but --t is {args.t}")
+        raise ValueError(f"--seed-file holds a G_{base.t} clique but --t is {args.t}")
     search = _search(args.algorithm, args.t, args.essays, seed, seed=base,
                      population_size=args.population, max_generations=args.generations,
                      p_m=args.pm, p_b=args.pb)
@@ -250,7 +238,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 
 def cmd_paley(args: argparse.Namespace) -> int:
     if args.t < 1:
-        raise _Usage("paley needs --t >= 1")
+        raise ValueError("paley needs --t >= 1")
     try:
         c = seeds.paley_seed(args.t)
     except NoDecomposition as exc:
@@ -264,10 +252,10 @@ def cmd_extend(args: argparse.Namespace) -> int:
     c = read_clique(args.path)
     seed = _effective_seed(args)
     if args.algorithm == "exact":
-        _refused(graph.pool_bytes, c.t)
+        graph.pool_bytes(c.t)
         grown = exact.extend_exact(c, Random(seed))
     else:
-        grown = fast.run_fast(c, _refused(fast.FastConfig, t=c.t, rng_seed=seed))
+        grown = fast.run_fast(c, fast.FastConfig(t=c.t, rng_seed=seed))
     if len(grown) == len(c):
         print("warning: no extension found", file=sys.stderr)
     else:
@@ -299,10 +287,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     import resource  # Unix only; the other subcommands do not need it
 
     if args.reps < 1:
-        raise _Usage(f"bench needs --reps >= 1, got {args.reps}")
+        raise ValueError(f"bench needs --reps >= 1, got {args.reps}")
     if args.suite == "census":
         if args.json or args.t is not None:
-            raise _Usage("--t and --json apply to the exact, ga and fast suites")
+            raise ValueError("--t and --json apply to the exact, ga and fast suites")
         print("census suite: per-k counts, degrees, totals for t = 1..7")
         ok = True
         for t, (nv, ne) in KNOWN_CENSUS.items():
@@ -353,9 +341,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     """Parse argv, run its subcommand and return the exit code.
 
-    One handler maps every error to its documented code: a bad argument,
-    from the parser or a subcommand, is a usage error (64); a library error
-    or a file that cannot be read or written is 1. --help returns 0.
+    One handler maps every error to its documented code: a ValueError,
+    raised by the parser, a subcommand or the library for a setting it
+    refuses, is a usage error (64); any other library error, and a file that
+    cannot be read (missing, a directory, or not UTF-8) or written, is 1.
+    --help returns 0.
     """
     handlers = {
         "stats": cmd_stats,
@@ -371,7 +361,10 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
-    except _Usage as exc:
+    except UnicodeDecodeError as exc:  # a ValueError, but from a file that cannot be read
+        print(f"hadclique: cannot read input: {exc}", file=sys.stderr)
+        return EX_VERIFY
+    except ValueError as exc:
         print(f"hadclique: usage error: {exc}", file=sys.stderr)
         return EX_USAGE
     except (HadcliqueError, OSError) as exc:

@@ -17,7 +17,7 @@ from hadclique import (
     verify_clique,
     verify_ph,
 )
-from hadclique import exact, fast, ga, graph
+from hadclique import exact, fast, ga, graph, seeds
 from hadclique.files import read_report
 from hadclique.cli import EX_EMPTY, EX_OK, EX_USAGE, EX_VERIFY, _is_sign_matrix, main
 
@@ -65,29 +65,68 @@ def test_stats_range_guard(capsys):
     assert main(["stats", "--t", "0"]) == EX_USAGE
 
 
+def _usage_error(argv, capsys):
+    """main(argv)'s one stderr line, after asserting that it exits 64."""
+    assert main(argv) == EX_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("hadclique: usage error: ") and err.count("\n") == 1, err
+    return err
+
+
 def test_usage_errors_exit_64(capsys):
-    assert main(["search", "ga", "--t", "0"]) == EX_USAGE
-    assert main(["search", "nonesuch", "--t", "2"]) == EX_USAGE
-    assert main(["nonesuch"]) == EX_USAGE
-    assert main(["search", "ga", "--t", "2", "--pb", "0.1"]) == EX_USAGE
-    assert main(["search", "fast", "--t", "17"]) == EX_USAGE
-    assert main(["search", "exact", "--t", "17"]) == EX_USAGE
-    assert main(["search", "ga", "--t", "17"]) == EX_USAGE
-    assert main(["search", "exact", "--t", "3", "--jobs", "0"]) == EX_USAGE
-    assert main(["search", "exact", "--t", "3", "--jobs", "-2"]) == EX_USAGE
+    _usage_error(["search", "ga", "--t", "0"], capsys)
+    _usage_error(["search", "nonesuch", "--t", "2"], capsys)
+    _usage_error(["nonesuch"], capsys)
+    _usage_error(["search", "ga", "--t", "2", "--pb", "0.1"], capsys)
+    _usage_error(["search", "fast", "--t", "17"], capsys)
+    _usage_error(["search", "exact", "--t", "17"], capsys)
+    _usage_error(["search", "ga", "--t", "17"], capsys)
+    _usage_error(["search", "exact", "--t", "3", "--jobs", "0"], capsys)
+    _usage_error(["search", "exact", "--t", "3", "--jobs", "-2"], capsys)
+    assert "search needs --t" in _usage_error(["search", "exact"], capsys)
     with open("seed.clq", "w") as fh:
         fh.write("3\n")
     for algorithm in ("exact", "ga"):
         out = f"{algorithm}.report"
         argv = ["search", algorithm, "--t", "3", "--seed-file", "seed.clq", "--out", out]
-        assert main(argv) == EX_USAGE
+        _usage_error(argv, capsys)
         assert not os.path.exists(out)
     with open("big.clq", "w") as fh:
         fh.write("17\n")
-    assert main(["extend", "big.clq", "--algorithm", "fast"]) == EX_USAGE
-    assert "t must be in 1..16, got 17" in capsys.readouterr().err
-    assert main(["extend", "big.clq", "--algorithm", "exact"]) == EX_USAGE
-    assert "t must be in 1..16 (4t <= 64 bits), got 17" in capsys.readouterr().err
+    err = _usage_error(["extend", "big.clq", "--algorithm", "fast"], capsys)
+    assert "t must be in 1..16, got 17" in err
+    err = _usage_error(["extend", "big.clq", "--algorithm", "exact"], capsys)
+    assert "t must be in 1..16 (4t <= 64 bits), got 17" in err
+
+
+def test_a_library_value_error_is_a_usage_error(monkeypatch, capsys):
+    # one handler in main maps a ValueError to 64, whichever subcommand raised it
+    def refuse(t):
+        raise ValueError("x")
+
+    monkeypatch.setattr(seeds, "paley_seed", refuse)
+    assert main(["paley", "--t", "4"]) == EX_USAGE
+    assert capsys.readouterr().err == "hadclique: usage error: x\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "bad.clq"],
+        ["extend", "bad.clq", "--out", "out.clq"],
+        ["normalize", "bad.clq", "--out", "out.clq"],
+        ["search", "fast", "--t", "3", "--seed-file", "bad.clq", "--out", "out.clq"],
+    ],
+)
+def test_a_file_that_is_not_utf8_exits_1(argv, capsys):
+    # UnicodeDecodeError is a ValueError, but the file, not a setting, is at fault
+    with open("bad.clq", "wb") as fh:
+        fh.write(b"\xff\xfe3 1 2\n")
+    assert main(argv) == EX_VERIFY
+    err = capsys.readouterr().err
+    assert err.startswith("hadclique: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "usage error" not in err
+    assert not os.path.exists("out.clq")
 
 
 @pytest.mark.parametrize("algorithm", ["exact", "ga", "fast"])
