@@ -33,12 +33,13 @@ with a group id that pairs them (Horowitz-Sahni split and join), so the
 common neighborhood of a clique is counted, ranked and enumerated from
 at most C(2t, t) halves per side.  A half's id is its group number, which
 indexes the per-group count of right halves, and a refine appends one key
-digit per code to it: group g and key j give bin g * (t + 1) + j.  A
-refine whose bins would still take another digit within the halves held,
-and which leaves at most a quarter of them without a partner, stays open:
-the refined pool shares its parent's halves, dead ones included, and its
-ids are the raw bins.  Otherwise it compacts: it drops the dead halves and
-numbers the bins left with a partner 0, 1, 2, ...  Once a refined pool
+digit per code to it: group g and key j give bin g * (t + 1) + j.  The
+keys are all a refine computes; _regroup, the kernel's one join, turns
+binned halves into a pool.  If the bins would still take another digit
+within the halves held, and at most a quarter of them lack a partner, the
+pool stays open: it shares the halves it was given, dead ones included,
+and its ids are the raw bins.  Otherwise it compacts: it drops the dead
+halves and numbers the bins left with a partner 0, 1, 2, ...  Once a pool
 stores no more codes than live halves it continues as a MaterializedPool,
 its ascending stored codes filtered by one popcount per code.
 
@@ -432,12 +433,52 @@ def _join(half: int, left: np.ndarray, left_id: np.ndarray, right: np.ndarray,
     return (np.repeat(left.astype(np.uint64), per_left) << np.uint64(half)) | partners
 
 
-def _partnered(
-    halves: np.ndarray, ids: np.ndarray, both: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The halves whose bin has a partner on the other side, with their ids."""
-    kept = both.take(ids).nonzero()[0]
-    return halves.take(kept), ids.take(kept)
+def _keyed(halves: np.ndarray, ids: np.ndarray, masks: Sequence[int], width: int) -> np.ndarray:
+    """ids with one digit appended per mask: the weight of halves & mask, below width."""
+    for mask in masks:
+        ids = ids * width
+        ids += np.bitwise_count(halves & mask)
+    return ids
+
+
+def _regroup(t: int, left: np.ndarray, right: np.ndarray, ids: list[np.ndarray],
+             bins: int) -> NeighborPool | MaterializedPool:
+    """The pool of codes left[i] << 2t | right[j] with left_id[i] == right_id[j].
+
+    The kernel's one join: ids is [left_id, right_id], bins below ``bins``,
+    and left must be ascending.  ids is emptied on entry, so a compacting
+    pass frees ids the caller holds no other reference to before it joins.
+    If the bins would take one more key digit within the halves given, and
+    at least three quarters of the halves have a partner, the pool stays
+    open on these very arrays, with the bin counts as groups.  Otherwise the halves without a partner are dropped and the bins left
+    are numbered 0, 1, 2, ... in bin order.  Once the pool stores no more
+    codes than the live halves it is materialized.
+    """
+    right_id, left_id = ids.pop(), ids.pop()
+    nl = np.bincount(left_id, minlength=bins)
+    nr = np.bincount(right_id, minlength=bins)
+    stored = int(nl @ nr)
+    both = np.logical_and(nl, nr)
+    halves = left.size + right.size
+    if bins * (t + 1) <= halves:
+        live = int((nl + nr) @ both)
+        if stored > live and 4 * live >= 3 * halves:
+            return NeighborPool(t=t, left=left, left_id=left_id, right=right,
+                                right_id=right_id, right_count=nr, size=2 * stored)
+    # kept indexes the halves with a partner, one side at a time, then the
+    # bins with a half on each side: each index is freed as the next is read
+    kept = both.take(left_id).nonzero()[0]
+    left, left_id = left.take(kept), left_id.take(kept)
+    kept = both.take(right_id).nonzero()[0]
+    right, right_id = right.take(kept), right_id.take(kept)
+    kept = both.nonzero()[0]
+    # nl is spent: reuse it as the bin -> new id table, read at kept bins only
+    nl[kept] = np.arange(kept.size)
+    left_id, right_id, counts = nl.take(left_id), nl.take(right_id), nr.take(kept)
+    if stored <= left.size + right.size:
+        return MaterializedPool(t=t, array=_join(2 * t, left, left_id, right, right_id, counts))
+    return NeighborPool(t=t, left=left, left_id=left_id, right=right, right_id=right_id,
+                        right_count=counts, size=2 * stored)
 
 
 def _mirror(r: int, size: int, t: int) -> tuple[int, int]:
@@ -530,13 +571,14 @@ class NeighborPool:
         popcount(R & u_lo).  The codes are taken in batches: each code of a
         batch appends its key, 0..t, to each half's bin id as one mixed-radix
         digit, and a batch grows while its groups * (t + 1)^c bins number no
-        more than the halves held.  A batch whose bins would take one more
-        digit, and whose halves are at least three quarters live, leaves the
-        pool open on the raw bins, which the next refine extends: keying a
-        dead half costs a later refine about what dropping it costs now.
-        Otherwise the bins of both sides are numbered jointly 0, 1, 2, ...
-        in (group, key, key, ...) order, and halves left without a partner
-        are dropped: the same pool as one refine per code.  Once the refined
+        more than the halves held.  _regroup, the one join, then makes the
+        batch's pool.  A batch whose bins would take one more digit, and
+        whose halves are at least three quarters live, leaves the pool open
+        on the raw bins, which the next refine extends: keying a dead half
+        costs a later refine about what dropping it costs now.  Otherwise
+        the bins of both sides are numbered jointly 0, 1, 2, ... in (group,
+        key, key, ...) order, and halves left without a partner are
+        dropped: the same pool as one refine per code.  Once the refined
         pool holds no more stored codes than live halves it continues
         materialized.
         The complement of a stored code is orthogonal to u exactly when the
@@ -553,38 +595,12 @@ class NeighborPool:
         return pool.refine(*codes) if codes else pool
 
     def _refine(self, codes: Sequence[int], bins: int) -> NeighborPool | MaterializedPool:
-        """One pass of refine: bin both sides by group and the key of each code."""
-        half = 2 * self.t
-        width = self.t + 1
+        """One pass of refine: key both sides by group and each code, then regroup."""
+        half, width = 2 * self.t, self.t + 1
         mask = (1 << half) - 1
-        lid, rid = self.left_id, self.right_id
-        for code in codes:
-            lid = lid * width
-            lid += np.bitwise_count(self.left & (~(code >> half) & mask))
-            rid = rid * width
-            rid += np.bitwise_count(self.right & (code & mask))
-        nl = np.bincount(lid, minlength=bins)
-        nr = np.bincount(rid, minlength=bins)
-        stored = int(nl @ nr)
-        both = np.logical_and(nl, nr)
-        halves = self.left.size + self.right.size
-        if bins * width <= halves:
-            # stay open while at most a quarter of the halves lack a partner
-            live = int((nl + nr) @ both)
-            if stored > live and 4 * live >= 3 * halves:
-                return NeighborPool(t=self.t, left=self.left, left_id=lid, right=self.right,
-                                    right_id=rid, right_count=nr, size=2 * stored)
-        left, lid = _partnered(self.left, lid, both)
-        right, rid = _partnered(self.right, rid, both)
-        kept = both.nonzero()[0]
-        # nl is spent: reuse it as the bin -> new id table, read at kept bins only
-        renumber = nl
-        renumber[kept] = np.arange(kept.size)
-        lid, rid, counts = renumber.take(lid), renumber.take(rid), nr.take(kept)
-        if stored <= left.size + right.size:
-            return MaterializedPool(t=self.t, array=_join(half, left, lid, right, rid, counts))
-        return NeighborPool(t=self.t, left=left, left_id=lid, right=right, right_id=rid,
-                            right_count=counts, size=2 * stored)
+        ids = [_keyed(self.left, self.left_id, [~(c >> half) & mask for c in codes], width),
+               _keyed(self.right, self.right_id, [c & mask for c in codes], width)]
+        return _regroup(self.t, self.left, self.right, ids, bins)
 
     def code_at(self, r: int) -> int:
         """The rank-r code of the pool in ascending order."""

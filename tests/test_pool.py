@@ -12,6 +12,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from itertools import combinations
 from pathlib import Path
 from random import Random
@@ -302,6 +303,29 @@ def test_a_batch_holds_no_bin_array_larger_than_the_halves(t):
             assert batch <= chain + 17 * halves, (seed, k, chain, batch, halves)
 
 
+def test_a_materializing_refine_frees_the_raw_ids_before_it_joins(monkeypatch):
+    # _refine hands its keyed ids to _regroup in a list that _regroup
+    # empties, so they die when a compacting pass rebinds them.  With the
+    # caller holding them, they lived through the join, and one exact
+    # essay's traced peak at t = 9 rose from 28.6 to 32.5 B per half
+    keyed, join = graph._keyed, graph._join
+    raw, alive = [], []
+
+    def spy_keyed(*args):
+        ids = keyed(*args)
+        raw.append(weakref.ref(ids))
+        return ids
+
+    def spy_join(*args):
+        alive.append([ref() is not None for ref in raw[-2:]])
+        return join(*args)
+
+    monkeypatch.setattr(graph, "_keyed", spy_keyed)
+    monkeypatch.setattr(graph, "_join", spy_join)
+    run_exact(ExactSearchConfig(t=8, essays=6))
+    assert alive and not any(map(any, alive)), alive
+
+
 def _glibc_mallopt() -> bool:
     if platform.libc_ver()[0] != "glibc":
         return False
@@ -470,6 +494,25 @@ def test_open_pools_leave_room_and_keep_the_switch_point(t, monkeypatch):
         else:
             assert pool.right_count.size * 2 <= halves
     assert 0 < opened < len(pools), (opened, len(pools))
+
+
+@pytest.mark.parametrize("t", range(2, 9))
+def test_regroup_joins_on_a_key_that_is_no_refine(t):
+    # _regroup bins any per-half key, not only a refine's popcounts.  Keyed
+    # by quarter-1 weight on the left and quarter-4 weight on the right, the
+    # halves of vertex_pool(t) regroup into vertex_pool(t) itself, left open
+    # on the same word arrays: only the one right half whose quarter 4 is all
+    # ones lacks a partner, as no stored left has quarter 1 all ones
+    whole = vertex_pool(t)
+    left_id = np.bitwise_count(whole.left >> np.uint32(t)).astype(np.intp)
+    right_id = np.bitwise_count(whole.right & np.uint32((1 << t) - 1)).astype(np.intp)
+    pool = graph._regroup(t, whole.left, whole.right, [left_id, right_id], t + 1)
+    assert isinstance(pool, NeighborPool)
+    assert pool.left is whole.left and pool.right is whole.right
+    for got, want in ((pool.left_id, whole.left_id), (pool.right_id, whole.right_id),
+                      (pool.right_count, whole.right_count)):
+        assert np.array_equal(got, want)
+    assert pool.size == whole.size
 
 
 # open pools with dead lefts hold 0.27-3.1 M codes at t = 7..9 and 112 M at
