@@ -31,7 +31,7 @@ from .files import format_clique_text, parse_clique_text, read_clique, write_rep
 from .graph import Clique
 from .oracle import verify_clique, verify_ph
 from .report import SearchReport
-from .seeds import format_sign_matrix, ingest_sign_matrix, matrix_to_clique, normalize
+from .seeds import format_sign_matrix, ingest_sign_matrix, normalize
 
 EX_OK = 0
 EX_VERIFY = 1
@@ -232,7 +232,7 @@ def _emit(text: str, out: Path | None, what: str) -> None:
 
 def cmd_normalize(args: argparse.Namespace) -> int:
     nm = normalize(ingest_sign_matrix(args.path.read_text()))
-    _emit(format_sign_matrix(nm.matrix), args.out, "normalized matrix")
+    _emit(format_sign_matrix(nm), args.out, "normalized matrix")
     return EX_OK
 
 

@@ -1,17 +1,17 @@
 """Seed cliques: matrix normalization, text I/O, and Paley constructions.
 
 A (partial) Hadamard matrix can be column-negated and column-permuted into
-a normal form whose first three rows are the canonical triple; the rows
-below then decode directly as graph vertices, turning any published
-matrix into a starting clique for the searches. The Paley constructions
-supply such matrices for free: the juxtaposition of truncated Paley blocks
-whose orders sum to 4t is a partial Hadamard matrix of depth
-2 min(p) + 2, hence a clique of size 2 min(p) - 1.
+a normal form: a SignMatrix whose first three rows are the canonical
+triple. matrix_to_clique checks that form and decodes the rows below as
+graph vertices, turning any published matrix into a starting clique for
+the searches. The Paley constructions supply such matrices for free: the
+juxtaposition of truncated Paley blocks whose orders sum to 4t is a
+partial Hadamard matrix of depth 2 min(p) + 2, hence a clique of size
+2 min(p) - 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -29,7 +29,6 @@ from .graph import Clique, decode
 from .oracle import SignMatrix, _canonical_rows
 
 __all__ = [
-    "NormalizedMatrix",
     "normalize",
     "matrix_to_clique",
     "ingest_sign_matrix",
@@ -38,31 +37,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class NormalizedMatrix:
-    """A SignMatrix whose first three rows are the canonical triple."""
-
-    matrix: SignMatrix
-
-    def __post_init__(self) -> None:
-        m, n = self.matrix.m, self.matrix.n
-        if m < 3 or n < 4 or n % 4:
-            raise BadShape(f"normalized matrix needs >= 3 rows and 4t columns, got {m} x {n}")
-        arr = self.matrix.to_array()
-        if (arr[:3] != _canonical_rows(n // 4)).any():
-            raise BadShape("first three rows are not the canonical triple")
-
-    @property
-    def t(self) -> int:
-        return self.matrix.n // 4
-
-    @property
-    def m(self) -> int:
-        return self.matrix.m
-
-
-def normalize(M: SignMatrix) -> NormalizedMatrix:
+def normalize(M: SignMatrix) -> SignMatrix:
     """Column-negate and column-swap M so its first three rows are canonical.
+
+    Returns the normal form as a new SignMatrix, the input that
+    matrix_to_clique decodes.
 
     Step 1 negates every column whose first entry is negative; step 2 swaps
     left-half columns with a negative second entry against right-half
@@ -79,7 +58,7 @@ def normalize(M: SignMatrix) -> NormalizedMatrix:
     m, n = M.m, M.n
     if m < 3 or n < 4 or n % 4:
         raise BadShape(f"need >= 3 rows and 4t columns, got {m} x {n}")
-    arr = M.to_array().copy()
+    arr = M.to_array()
     if not np.isin(arr, (-1, 1)).all():
         raise BadShape("entries must be +1 or -1")
     gram = arr @ arr.T
@@ -105,25 +84,29 @@ def normalize(M: SignMatrix) -> NormalizedMatrix:
         hi = base + t + np.nonzero(arr[2, base + t:base + 2 * t] > 0)[0]
         swap(lo, hi)
 
-    return NormalizedMatrix(SignMatrix.from_array(arr))
+    return SignMatrix.from_array(arr)
 
 
-def matrix_to_clique(M: NormalizedMatrix | SignMatrix) -> Clique:
+def matrix_to_clique(M: SignMatrix) -> Clique:
     """Decode rows 4..m of a normalized matrix as a clique of G_t.
 
-    A plain SignMatrix is accepted when its first three rows are already
-    canonical. Entry -1 maps to bit 1, column 1 being the most significant
-    bit; a row that is no valid vertex raises DecodeFailure carrying its
-    0-based row index. Members are kept as the rows' int codes.
+    M must be in normal form: at least 3 rows, 4t columns, and the
+    canonical triple as its first three rows, as normalize returns it;
+    anything else raises BadShape. Entry -1 maps to bit 1, column 1 being
+    the most significant bit; a row that is no valid vertex raises
+    DecodeFailure carrying its 0-based row index. Members are kept as the
+    rows' int codes.
     """
-    if isinstance(M, SignMatrix):
-        M = NormalizedMatrix(M)
-    t = M.t
-    n = 4 * t
+    m, n = M.m, M.n
+    if m < 3 or n < 4 or n % 4:
+        raise BadShape(f"normalized matrix needs >= 3 rows and 4t columns, got {m} x {n}")
+    t = n // 4
+    if (M.to_array()[:3] != _canonical_rows(t)).any():
+        raise BadShape("first three rows are not the canonical triple")
     members = []
-    for r in range(3, M.m):
+    for r in range(3, m):
         code = 0
-        for e in M.matrix.rows[r]:
+        for e in M.rows[r]:
             code = code << 1 | (e < 0)
         try:
             members.append(decode(code, t).code)
@@ -227,8 +210,6 @@ def paley_seed(t: int) -> Clique:
     of each, juxtaposes into a d x 4t partial Hadamard matrix, normalizes,
     and decodes. The resulting clique has size d - 3 = 2 min(p) - 1.
     """
-    if t < 1:
-        raise NoDecomposition(f"t must be positive, got {t}")
     ps = _decompose(t)
     if ps is None:
         raise NoDecomposition(f"2*{t} - i is no sum of i odd primes for i in (2, 3)")

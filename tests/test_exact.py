@@ -70,16 +70,34 @@ def test_no_essay_ends_in_the_completion_band(t):
     assert not [e.size for e in rep.essays if e.size in band]
 
 
-def _full_clique(t):
-    """The 4t - 3 members of a normalized Hadamard matrix of order 4t, at t = 5..10.
+def _hadamard(t):
+    """A Hadamard matrix of order 4t built without the kernel, at t = 2..10 and 14.
 
     Paley I of order p + 1, I + S, covers p = 4t - 1 prime (t = 5, 8): for
     p = 3 mod 4, _paley_block(p) is its Kronecker product with
-    [[1, 1], [1, -1]].  _paley_block(2t - 1) covers 2t - 1 prime (t = 6, 7,
-    9, 10).
+    [[1, 1], [1, -1]].  _paley_block(2t - 1) covers 2t - 1 prime (t = 2, 3,
+    4, 6, 7, 9, 10), and the Sylvester doubling of the t = 7 one gives t = 14.
     """
-    H = _paley_block(4 * t - 1)[::2, ::2] if t in (5, 8) else _paley_block(2 * t - 1)
-    return matrix_to_clique(normalize(SignMatrix.from_array(H)))
+    if t in (5, 8):
+        return _paley_block(4 * t - 1)[::2, ::2]
+    if t == 14:
+        return np.kron([[1, 1], [1, -1]], _paley_block(13))
+    return _paley_block(2 * t - 1)
+
+
+def _full_clique(t):
+    """The 4t - 3 members of the normalized _hadamard(t)."""
+    return matrix_to_clique(normalize(SignMatrix.from_array(_hadamard(t))))
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7, 8, 9, 10, 14])
+def test_each_hadamard_fixture_normalizes_to_a_full_clique(t):
+    # at t = 14 this decodes 56 columns, past the kernel's range
+    M = normalize(SignMatrix.from_array(_hadamard(t)))
+    assert verify_ph(M)
+    full = matrix_to_clique(M)
+    assert len(full) == 4 * t - 3
+    assert verify_clique(full)
 
 
 @pytest.mark.parametrize("t", [5, 8, 11])
@@ -88,23 +106,23 @@ def test_paley_one_gives_a_full_clique_with_an_empty_pool(t):
     # Hadamard, its rows below the canonical three are 4t - 3 pairwise
     # orthogonal vertices, and no vertex of G_t is orthogonal to them all
     M = normalize(SignMatrix.from_array(_paley_block(4 * t - 1)[::2, ::2]))  # Paley I
-    assert verify_ph(M.matrix)
+    assert verify_ph(M)
     full = matrix_to_clique(M)
     assert len(full) == 4 * t - 3
     assert verify_clique(full)
     assert graph.vertex_pool(t).refine(*full.members).size == 0
 
 
-@pytest.mark.parametrize("t", [5, 6, 7, 8, 9, 10])
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7, 8, 9, 10])
 def test_extend_exact_regrows_a_full_clique_missing_up_to_seven_members(t):
     # by the same theorem, a clique that keeps at least 4t - 10 members of
     # a full one regrows to 4t - 3 whatever it picks; this reaches t past
-    # the oracle's range
+    # the oracle's range.  At t = 2 up to all 5 members go.
     full = _full_clique(t)
     assert len(full) == 4 * t - 3
     rng = Random(t)
     for _ in range(10):
-        kept = rng.sample(full.codes, len(full) - rng.randint(1, 7))
+        kept = rng.sample(full.codes, len(full) - rng.randint(1, min(7, 4 * t - 3)))
         out = extend_exact(clique_from_codes(t, kept), rng)
         assert len(out) == 4 * t - 3
         assert verify_clique(out)

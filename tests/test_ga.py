@@ -10,6 +10,7 @@ from hadclique import (
     BothEmpty,
     Clique,
     GaConfig,
+    HadcliqueError,
     clique_from_codes,
     crossover,
     decode,
@@ -38,14 +39,18 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("population", [2, 5])
-def test_config_rejects_g1_before_seeding(population):
+def test_config_rejects_g1_before_seeding(population, monkeypatch):
     # G_1 is two isolated vertices and every seeding essay starts at the
     # class-0 one, so seeding never reaches two distinct cliques
     seeded = {tuple(extend_exact(Clique(t=1, members=()), Random(s)).codes) for s in range(20)}
     assert seeded == {(6,)}
     with pytest.raises(ValueError, match="G_1"):
         GaConfig(t=1, population_size=population)
-    GaConfig(t=2, population_size=population)
+    cfg = GaConfig(t=2, population_size=population)
+    # past the config, seeding that only ever repeats one clique gives up
+    monkeypatch.setattr(ga, "extend_exact", lambda c, rng: clique_from_codes(2, [166, 101]))
+    with pytest.raises(HadcliqueError, match="could not seed"):
+        run_ga(cfg)
 
 
 def test_crossover_needs_a_parent():

@@ -29,6 +29,7 @@ from hadclique import (
     solve_distributions,
     vertex_count,
 )
+from hadclique import graph
 from hadclique.errors import InfeasibleQuarter
 from hadclique.graph import complement, full_mask, s_range, vertex_pool
 
@@ -54,6 +55,8 @@ def test_decode_rejects_bad_weights():
         decode(-1, 2)
     with pytest.raises(RangeError):
         decode(1 << 8, 2)
+    with pytest.raises(RangeError, match="t must be positive"):
+        decode(0, 0)
 
 
 def test_join_quarters_inverts_quarters_of():
@@ -145,6 +148,8 @@ def test_degree_symmetric_in_k():
     for t in range(2, 9):
         for k in range(t + 1):
             assert degree(t, k) == degree(t, t - k)
+    with pytest.raises(KOutOfRange):
+        degree(4, 5)
 
 
 # -- per-s adjacency counts --------------------------------------------------
@@ -334,11 +339,16 @@ def test_random_vertex_draws_as_the_rebuilt_weights_did(t):
         assert got_rng.getstate() == want_rng.getstate()
 
 
-def test_adjacency_sizes_match_degree():
+def test_adjacency_sizes_match_degree(monkeypatch):
     for t, k in [(2, 0), (2, 1), (4, 1), (4, 2), (6, 3)]:
         rng = Random(7)
         v = random_vertex(t, rng, k=k)
         assert len(adjacency(v)) == degree(t, k)
+    # a code past 64 bits is refused before the mask or any pool is built
+    monkeypatch.setattr(graph, "full_mask", None)
+    v = VertexCode(t=17, code=((1 << 34) - 1) << 17, k=0)
+    with pytest.raises(RangeError, match="4t <= 64"):
+        adjacency(v)
 
 
 def test_clique_from_codes_orders_and_types():

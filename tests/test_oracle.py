@@ -39,6 +39,8 @@ def test_enumeration_matches_census():
 def test_enumeration_guard():
     with pytest.raises(TooLarge):
         vertex_codes(7)
+    with pytest.raises(TooLarge):
+        brute_adjacency_codes(random_vertex(6, Random(0)))
 
 
 def test_brute_adjacency_agrees_with_generators_small_t():
@@ -137,6 +139,8 @@ def test_verify_ph_order_constraint():
     assert not verify_ph(M)
     assert verify_ph(SignMatrix(rows=((1,),)))
     assert verify_ph(SignMatrix(rows=((1, 1), (1, -1))))
+    rep = verify_ph(SignMatrix(rows=()))
+    assert rep and "vacuous" in rep.message
 
 
 def test_verify_ph_depth_constraint():

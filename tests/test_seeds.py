@@ -23,7 +23,6 @@ from hadclique import (
     verify_ph,
 )
 from hadclique.errors import DecodeFailure
-from hadclique.seeds import NormalizedMatrix
 
 from published import GREEDY_CLIQUES
 
@@ -45,13 +44,13 @@ def test_normalize_fixes_canonical_rows():
     for _ in range(20):
         M = SignMatrix.from_array(scramble(base, rng))
         norm = normalize(M)
-        arr = norm.matrix.to_array()
+        arr = norm.to_array()
         t = arr.shape[1] // 4
         assert (arr[0] == 1).all()
         assert (arr[1, : 2 * t] == 1).all() and (arr[1, 2 * t :] == -1).all()
         assert (arr[2, :t] == 1).all() and (arr[2, t : 2 * t] == -1).all()
         assert (arr[2, 2 * t : 3 * t] == 1).all() and (arr[2, 3 * t :] == -1).all()
-        assert verify_ph(norm.matrix)
+        assert verify_ph(norm)
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.sampled_from([2, 3, 4]))
@@ -87,9 +86,9 @@ def test_normalize_rejects_a_zero_entry():
 
 def test_normalized_matrix_refuses_a_short_or_noncanonical_matrix():
     with pytest.raises(BadShape, match="needs >= 3 rows"):
-        NormalizedMatrix(SignMatrix(rows=((1, 1, 1, 1), (1, 1, -1, -1))))
+        matrix_to_clique(SignMatrix(rows=((1, 1, 1, 1), (1, 1, -1, -1))))
     with pytest.raises(BadShape, match="not the canonical triple"):
-        NormalizedMatrix(SignMatrix(rows=((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1))))
+        matrix_to_clique(SignMatrix(rows=((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1))))
 
 
 def test_matrix_to_clique_inverts_clique_to_matrix():
