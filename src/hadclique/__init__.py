@@ -14,7 +14,6 @@ from .errors import (
     BothEmpty,
     HadcliqueError,
     InvalidClique,
-    InvalidSeed,
     KOutOfRange,
     NoDecomposition,
     NotOrthogonal,
@@ -46,7 +45,6 @@ from .graph import (
     vertex_count,
 )
 from .oracle import (
-    SignMatrix,
     brute_adjacency_codes,
     clique_to_matrix,
     enumerate_vertices,

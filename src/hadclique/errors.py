@@ -48,17 +48,13 @@ class TooLarge(HadcliqueError):
 
 
 class InvalidClique(HadcliqueError):
-    """A clique argument failed verification."""
+    """A clique argument, such as a search's seed, failed verification."""
 
 
 # --- searches ---
 
 class BothEmpty(HadcliqueError):
     """Crossover needs at least one parent with nonzero fitness."""
-
-
-class InvalidSeed(HadcliqueError):
-    """A seed clique failed verification."""
 
 
 # --- matrices / seeds ---

@@ -30,7 +30,7 @@ from random import Random
 
 import numpy as np
 
-from .errors import HadcliqueError, InvalidSeed
+from .errors import HadcliqueError, InvalidClique
 from .graph import (
     MAX_T,
     Clique,
@@ -263,13 +263,14 @@ def run_fast(seed: Clique, cfg: FastConfig) -> Clique:
     The two candidate classes are tried heaviest first; within a class,
     construction repeats until t consecutive failures, or until the clique
     holds 4t - 3 members, the most any clique of G_t can hold.
-    The seed must be a valid clique of the configured t.
+    The seed must be a valid clique of the configured t; otherwise
+    InvalidClique is raised.
     """
     if seed.t != cfg.t:
-        raise InvalidSeed(f"seed is a G_{seed.t} clique but the search is configured for t={cfg.t}")
+        raise InvalidClique(f"seed is a G_{seed.t} clique but the search is configured for t={cfg.t}")
     rep = verify_clique(seed)
     if not rep:
-        raise InvalidSeed(rep.message)
+        raise InvalidClique(rep.message)
     rng = Random(cfg.rng_seed)
     t = cfg.t
     members = list(seed.members)

@@ -3,6 +3,8 @@
 Everything here works from first principles only: a vertex is any 4t-bit
 word passing the weight and quarter-pattern check, adjacency is a popcount
 over the XOR, and partial Hadamard validity is an explicit Gram matrix.
+A sign matrix is a plain 2-D int64 numpy array of +1/-1 entries, one row
+per array row; clique_to_matrix returns one and verify_ph takes one.
 None of the counting or generator machinery of :mod:`hadclique.graph` is
 used, so the two sides can validate each other.
 """
@@ -19,7 +21,6 @@ from .errors import HadcliqueError, InvalidClique, TooLarge
 from .graph import Clique, VertexCode, decode
 
 __all__ = [
-    "SignMatrix",
     "Report",
     "enumerate_vertices",
     "vertex_codes",
@@ -32,28 +33,6 @@ __all__ = [
 ENUMERATE_T_MAX = 6
 ADJACENCY_T_MAX = 5
 _SCAN_CHUNK = 1 << 20
-
-
-@dataclass(frozen=True, slots=True)
-class SignMatrix:
-    """An m x n matrix over {+1, -1}, stored as row tuples."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "SignMatrix":
-        return cls(rows=tuple(tuple(int(x) for x in row) for row in arr))
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.rows, dtype=np.int64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,11 +123,12 @@ def _canonical_rows(t: int) -> np.ndarray:
     return np.stack([row1, row2, row3])
 
 
-def clique_to_matrix(c: Clique) -> SignMatrix:
+def clique_to_matrix(c: Clique) -> np.ndarray:
     """Stack the three canonical rows over the members' sign rows.
 
-    A clique of size m yields an (m+3) x 4t partial Hadamard matrix; the
-    members' bit 1 maps to -1 with position 1 as the most significant bit.
+    A clique of size m yields an (m+3) x 4t int64 array, a partial Hadamard
+    matrix; the members' bit 1 maps to -1 with position 1 as the most
+    significant bit.
     """
     rep = verify_clique(c)
     if not rep:
@@ -159,22 +139,25 @@ def clique_to_matrix(c: Clique) -> SignMatrix:
     for code in c.members:
         bits = np.array([(code >> (n - 1 - p)) & 1 for p in range(n)], dtype=np.int64)
         rows.append((1 - 2 * bits)[None, :])
-    return SignMatrix.from_array(np.concatenate(rows, axis=0))
+    return np.concatenate(rows, axis=0)
 
 
-def verify_ph(M: SignMatrix) -> Report:
-    """Check the partial Hadamard property: M M^T = n I, n in {1,2} or 4Z."""
-    arr = M.to_array()
-    if arr.size == 0:
+def verify_ph(M: np.ndarray) -> Report:
+    """Check the partial Hadamard property: M M^T = n I, n in {1,2} or 4Z.
+
+    M is a 2-D array; one with no entries, such as the (0, 0) array of a
+    sign-matrix text with no rows, passes as vacuous.
+    """
+    if M.size == 0:
         return Report(True, "empty matrix verified (vacuous)")
-    m, n = arr.shape
-    if not np.isin(arr, (-1, 1)).all():
+    m, n = M.shape
+    if not np.isin(M, (-1, 1)).all():
         return Report(False, "entries must be +1 or -1")
     if not (n in (1, 2) or n % 4 == 0):
         return Report(False, f"width {n} is not 1, 2, or a multiple of 4")
     if m > n:
         return Report(False, f"depth {m} exceeds width {n}; no partial Hadamard matrix that deep exists")
-    gram = arr @ arr.T
+    gram = M @ M.T
     off = gram - n * np.eye(m, dtype=np.int64)
     if off.any():
         i, j = (int(x) for x in np.argwhere(off)[0])

@@ -1,10 +1,11 @@
 """Seed cliques: matrix normalization, text I/O, and Paley constructions.
 
 A (partial) Hadamard matrix can be column-negated and column-permuted into
-a normal form: a SignMatrix whose first three rows are the canonical
-triple. matrix_to_clique checks that form and decodes the rows below as
-graph vertices, turning any published matrix into a starting clique for
-the searches. The Paley constructions supply such matrices for free: the
+a normal form whose first three rows are the canonical triple; a sign
+matrix here is always a plain 2-D int64 numpy array of +1/-1 entries.
+matrix_to_clique checks that form and decodes the rows below as graph
+vertices, turning any published matrix into a starting clique for the
+searches. The Paley constructions supply such matrices for free: the
 juxtaposition of truncated Paley blocks whose orders sum to 4t is a
 partial Hadamard matrix of depth 2 min(p) + 2, hence a clique of size
 2 min(p) - 1.
@@ -26,7 +27,7 @@ from .errors import (
     RaggedRows,
 )
 from .graph import Clique, decode
-from .oracle import SignMatrix, _canonical_rows
+from .oracle import _canonical_rows
 
 __all__ = [
     "normalize",
@@ -37,11 +38,12 @@ __all__ = [
 ]
 
 
-def normalize(M: SignMatrix) -> SignMatrix:
+def normalize(M: np.ndarray) -> np.ndarray:
     """Column-negate and column-swap M so its first three rows are canonical.
 
-    Returns the normal form as a new SignMatrix, the input that
-    matrix_to_clique decodes.
+    Returns the normal form as a new int64 array, the input that
+    matrix_to_clique decodes. The work is done on a copy, so the caller's
+    array is never written.
 
     Step 1 negates every column whose first entry is negative; step 2 swaps
     left-half columns with a negative second entry against right-half
@@ -55,10 +57,10 @@ def normalize(M: SignMatrix) -> SignMatrix:
     right half. Row 2 is orthogonal to rows 0 and 1, so each half of it sums
     to 0, and the same holds within each half.
     """
-    m, n = M.m, M.n
+    arr = np.array(M, dtype=np.int64)
+    m, n = arr.shape
     if m < 3 or n < 4 or n % 4:
         raise BadShape(f"need >= 3 rows and 4t columns, got {m} x {n}")
-    arr = M.to_array()
     if not np.isin(arr, (-1, 1)).all():
         raise BadShape("entries must be +1 or -1")
     gram = arr @ arr.T
@@ -84,29 +86,30 @@ def normalize(M: SignMatrix) -> SignMatrix:
         hi = base + t + np.nonzero(arr[2, base + t:base + 2 * t] > 0)[0]
         swap(lo, hi)
 
-    return SignMatrix.from_array(arr)
+    return arr
 
 
-def matrix_to_clique(M: SignMatrix) -> Clique:
+def matrix_to_clique(M: np.ndarray) -> Clique:
     """Decode rows 4..m of a normalized matrix as a clique of G_t.
 
     M must be in normal form: at least 3 rows, 4t columns, and the
     canonical triple as its first three rows, as normalize returns it;
     anything else raises BadShape. Entry -1 maps to bit 1, column 1 being
     the most significant bit; a row that is no valid vertex raises
-    DecodeFailure carrying its 0-based row index. Members are kept as the
-    rows' int codes.
+    DecodeFailure carrying its 0-based row index. Each code is built from
+    the row's Python ints, so members are plain ints even at 64 columns,
+    where a numpy integer would overflow.
     """
-    m, n = M.m, M.n
+    m, n = M.shape
     if m < 3 or n < 4 or n % 4:
         raise BadShape(f"normalized matrix needs >= 3 rows and 4t columns, got {m} x {n}")
     t = n // 4
-    if (M.to_array()[:3] != _canonical_rows(t)).any():
+    if (M[:3] != _canonical_rows(t)).any():
         raise BadShape("first three rows are not the canonical triple")
     members = []
     for r in range(3, m):
         code = 0
-        for e in M.rows[r]:
+        for e in M[r].tolist():
             code = code << 1 | (e < 0)
         try:
             members.append(decode(code, t).code)
@@ -115,13 +118,14 @@ def matrix_to_clique(M: SignMatrix) -> Clique:
     return Clique(t=t, members=tuple(members))
 
 
-def ingest_sign_matrix(text: str) -> SignMatrix:
-    """Parse '+'/'-' (or '1'/'0') sign-matrix text.
+def ingest_sign_matrix(text: str) -> np.ndarray:
+    """Parse '+'/'-' (or '1'/'0') sign-matrix text into an int64 array.
 
     Blank lines and lines starting with '#' are skipped; spaces and tabs
-    inside a row are ignored. All rows must have equal length.
+    inside a row are ignored. All rows must have equal length. Text with
+    no rows gives shape (0, 0).
     """
-    rows: list[tuple[int, ...]] = []
+    rows: list[list[int]] = []
     for ln, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -137,13 +141,13 @@ def ingest_sign_matrix(text: str) -> SignMatrix:
                 raise BadCharacter(f"line {ln}, column {col}: unexpected {ch!r}", line=ln, column=col)
         if rows and len(row) != len(rows[0]):
             raise RaggedRows(f"line {ln} has {len(row)} entries, expected {len(rows[0])}")
-        rows.append(tuple(row))
-    return SignMatrix(rows=tuple(rows))
+        rows.append(row)
+    return np.array(rows, dtype=np.int64) if rows else np.empty((0, 0), dtype=np.int64)
 
 
-def format_sign_matrix(M: SignMatrix) -> str:
-    """Render as '+'/'-' rows, one per line, trailing newline, no padding."""
-    return "".join("".join("+" if e > 0 else "-" for e in row) + "\n" for row in M.rows)
+def format_sign_matrix(M: np.ndarray) -> str:
+    """Render a 2-D array as unpadded '+'/'-' rows, each ending in a newline."""
+    return "".join("".join("+" if e > 0 else "-" for e in row) + "\n" for row in M.tolist())
 
 
 def _is_odd_prime(n: int) -> bool:
@@ -215,4 +219,4 @@ def paley_seed(t: int) -> Clique:
         raise NoDecomposition(f"2*{t} - i is no sum of i odd primes for i in (2, 3)")
     d = 2 * min(ps) + 2
     strip = np.hstack([_paley_block(p)[:d] for p in ps])
-    return matrix_to_clique(normalize(SignMatrix.from_array(strip)))
+    return matrix_to_clique(normalize(strip))

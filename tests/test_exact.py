@@ -9,7 +9,6 @@ from hadclique import (
     InvalidClique,
     Clique,
     ExactSearchConfig,
-    SignMatrix,
     adjacency,
     brute_adjacency_codes,
     clique_from_codes,
@@ -70,16 +69,37 @@ def test_no_essay_ends_in_the_completion_band(t):
     assert not [e.size for e in rep.essays if e.size in band]
 
 
-def _hadamard(t):
-    """A Hadamard matrix of order 4t built without the kernel, at t = 2..10 and 14.
+def _paley_two_gf25():
+    """Paley II over GF(25) = GF(5)[w], w^2 = 2: a Hadamard matrix of order 52.
 
-    Paley I of order p + 1, I + S, covers p = 4t - 1 prime (t = 5, 8): for
-    p = 3 mod 4, _paley_block(p) is its Kronecker product with
-    [[1, 1], [1, -1]].  _paley_block(2t - 1) covers 2t - 1 prime (t = 2, 3,
-    4, 6, 7, 9, 10), and the Sylvester doubling of the t = 7 one gives t = 14.
+    The p = 1 mod 4 branch of _paley_block with GF(25) in place of Z_p: the
+    Jacobsthal matrix of the quadratic character, bordered into a symmetric
+    conference matrix C of order 26, then doubled.  2 is no square mod 5, so
+    x^2 - 2 is irreducible, and (a + bw)^2 = a^2 + 2b^2 + 2ab w.
     """
-    if t in (5, 8):
+    els = [(a, b) for a in range(5) for b in range(5)]
+    squares = {((a * a + 2 * b * b) % 5, 2 * a * b % 5) for a, b in els[1:]}
+    chi = {x: 0 if x == (0, 0) else 1 if x in squares else -1 for x in els}
+    C = np.ones((26, 26), dtype=np.int64)
+    C[0, 0] = 0
+    C[1:, 1:] = [[chi[((a - c) % 5, (b - d) % 5)] for c, d in els] for a, b in els]
+    eye = np.eye(26, dtype=np.int64)
+    return np.block([[C + eye, C - eye], [C - eye, -C - eye]])
+
+
+def _hadamard(t):
+    """A Hadamard matrix of order 4t built without the kernel, at t = 1..16.
+
+    Paley I of order p + 1, I + S, covers p = 4t - 1 prime (t = 1, 5, 8,
+    11): for p = 3 mod 4, _paley_block(p) is its Kronecker product with
+    [[1, 1], [1, -1]].  _paley_block(2t - 1) covers 2t - 1 prime (t = 2, 3,
+    4, 6, 7, 9, 10, 12, 15, 16), Paley II over GF(25) gives t = 13, and the
+    Sylvester doubling of the t = 7 one gives t = 14.
+    """
+    if t in (1, 5, 8, 11):
         return _paley_block(4 * t - 1)[::2, ::2]
+    if t == 13:
+        return _paley_two_gf25()
     if t == 14:
         return np.kron([[1, 1], [1, -1]], _paley_block(13))
     return _paley_block(2 * t - 1)
@@ -87,16 +107,30 @@ def _hadamard(t):
 
 def _full_clique(t):
     """The 4t - 3 members of the normalized _hadamard(t)."""
-    return matrix_to_clique(normalize(SignMatrix.from_array(_hadamard(t))))
+    return matrix_to_clique(normalize(_hadamard(t)))
 
 
-@pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7, 8, 9, 10, 14])
+@pytest.mark.parametrize("t", range(1, 17))
 def test_each_hadamard_fixture_normalizes_to_a_full_clique(t):
-    # at t = 14 this decodes 56 columns, past the kernel's range
-    M = normalize(SignMatrix.from_array(_hadamard(t)))
+    # past t = 13 this decodes 56, 60 and 64 columns, beyond the kernel's
+    # range, and verify_clique refuses a member that is not a plain int.
+    # No vertex of G_t is orthogonal to all 4t - 3 members, checked where
+    # the pool is cheap to build
+    M = normalize(_hadamard(t))
     assert verify_ph(M)
     full = matrix_to_clique(M)
     assert len(full) == 4 * t - 3
+    assert verify_clique(full)
+    if t <= 12:
+        assert graph.vertex_pool(t).refine(*full.members).size == 0
+
+
+def test_a_64_column_matrix_decodes_to_plain_int_members():
+    # bit 63 set: a numpy integer would overflow here, and verify_clique
+    # refuses anything but a plain int
+    full = matrix_to_clique(normalize(_hadamard(16)))
+    assert all(type(m) is int for m in full.members)
+    assert max(full.members) >= 1 << 63
     assert verify_clique(full)
 
 
@@ -105,7 +139,7 @@ def test_paley_one_gives_a_full_clique_with_an_empty_pool(t):
     # a Hadamard matrix built without the kernel: its normal form is
     # Hadamard, its rows below the canonical three are 4t - 3 pairwise
     # orthogonal vertices, and no vertex of G_t is orthogonal to them all
-    M = normalize(SignMatrix.from_array(_paley_block(4 * t - 1)[::2, ::2]))  # Paley I
+    M = normalize(_paley_block(4 * t - 1)[::2, ::2])  # Paley I
     assert verify_ph(M)
     full = matrix_to_clique(M)
     assert len(full) == 4 * t - 3

@@ -12,7 +12,7 @@ from hadclique import (
     Clique,
     FastConfig,
     HadcliqueError,
-    InvalidSeed,
+    InvalidClique,
     NoDecomposition,
     buildgrapas,
     brute_adjacency_codes,
@@ -239,9 +239,9 @@ def test_buildgrapas_raises_on_a_non_orthogonal_construction(monkeypatch):
 
 
 def test_run_fast_requires_matching_seed():
-    with pytest.raises(InvalidSeed):
+    with pytest.raises(InvalidClique):
         run_fast(clique_from_codes(2, [166]), FastConfig(t=3))
-    with pytest.raises(InvalidSeed):
+    with pytest.raises(InvalidClique):
         run_fast(clique_from_codes(2, [166, 89]), FastConfig(t=2))
 
 

@@ -7,7 +7,6 @@ from hadclique import (
     Clique,
     InvalidClique,
     TooLarge,
-    SignMatrix,
     adjacency,
     brute_adjacency_codes,
     class_size,
@@ -104,11 +103,10 @@ def test_verify_clique_names_a_member_that_is_no_vertex():
 def test_clique_to_matrix_canonical_rows():
     c = clique_from_codes(2, GREEDY_CLIQUES[2])
     M = clique_to_matrix(c)
-    assert M.m == len(c) + 3
-    assert M.n == 8
-    assert list(M.rows[0]) == [1] * 8
-    assert list(M.rows[1]) == [1, 1, 1, 1, -1, -1, -1, -1]
-    assert list(M.rows[2]) == [1, 1, -1, -1, 1, 1, -1, -1]
+    assert M.shape == (len(c) + 3, 8)
+    assert list(M[0]) == [1] * 8
+    assert list(M[1]) == [1, 1, 1, 1, -1, -1, -1, -1]
+    assert list(M[2]) == [1, 1, -1, -1, 1, 1, -1, -1]
     assert verify_ph(M)
 
 
@@ -116,7 +114,7 @@ def test_clique_to_matrix_sign_convention():
     # bit 1 maps to -1, most significant bit is column 0
     v = decode(684646, 5)
     M = clique_to_matrix(clique_from_codes(5, [684646]))
-    row = M.rows[3]
+    row = M[3]
     bits = [1 if e < 0 else 0 for e in row]
     assert int("".join(map(str, bits)), 2) == 684646
     assert verify_ph(M)
@@ -128,38 +126,32 @@ def test_clique_to_matrix_rejects_invalid():
 
 
 def test_verify_ph_rejects_bad_entries():
-    M = SignMatrix(rows=((1, 0), (1, 1)))
+    M = np.array([[1, 0], [1, 1]])
     rep = verify_ph(M)
     assert not rep
 
 
 def test_verify_ph_order_constraint():
     # 3 columns is not 1, 2, or a multiple of 4
-    M = SignMatrix(rows=((1, 1, 1),))
+    M = np.array([[1, 1, 1]])
     assert not verify_ph(M)
-    assert verify_ph(SignMatrix(rows=((1,),)))
-    assert verify_ph(SignMatrix(rows=((1, 1), (1, -1))))
-    rep = verify_ph(SignMatrix(rows=()))
+    assert verify_ph(np.array([[1]]))
+    assert verify_ph(np.array([[1, 1], [1, -1]]))
+    rep = verify_ph(np.empty((0, 0)))
     assert rep and "vacuous" in rep.message
 
 
 def test_verify_ph_depth_constraint():
-    M = SignMatrix(rows=((1, 1), (1, -1), (1, 1)))
+    M = np.array([[1, 1], [1, -1], [1, 1]])
     rep = verify_ph(M)
     assert not rep
 
 
 def test_verify_ph_names_offending_rows():
-    M = SignMatrix(rows=((1, 1, 1, 1), (1, 1, -1, -1), (1, 1, 1, -1)))
+    M = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, 1, 1, -1]])
     rep = verify_ph(M)
     assert not rep
     assert "2" in rep.message
-
-
-def test_sign_matrix_array_roundtrip():
-    arr = np.array([[1, -1], [1, 1]])
-    M = SignMatrix.from_array(arr)
-    assert (M.to_array() == arr).all()
 
 
 def test_census_alignment_between_modules():

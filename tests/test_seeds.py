@@ -1,6 +1,7 @@
 from random import Random
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -10,7 +11,6 @@ from hadclique import (
     NoDecomposition,
     NotOrthogonal,
     RaggedRows,
-    SignMatrix,
     WeightError,
     clique_from_codes,
     clique_to_matrix,
@@ -40,11 +40,11 @@ def scramble(arr, rng):
 
 def test_normalize_fixes_canonical_rows():
     rng = Random(0)
-    base = clique_to_matrix(clique_from_codes(2, GREEDY_CLIQUES[2])).to_array()
+    base = clique_to_matrix(clique_from_codes(2, GREEDY_CLIQUES[2]))
     for _ in range(20):
-        M = SignMatrix.from_array(scramble(base, rng))
+        M = scramble(base, rng)
         norm = normalize(M)
-        arr = norm.to_array()
+        arr = norm
         t = arr.shape[1] // 4
         assert (arr[0] == 1).all()
         assert (arr[1, : 2 * t] == 1).all() and (arr[1, 2 * t :] == -1).all()
@@ -57,38 +57,50 @@ def test_normalize_fixes_canonical_rows():
 @settings(max_examples=30, deadline=None)
 def test_normalize_then_decode_roundtrips_published(seed, t):
     rng = Random(seed)
-    base = clique_to_matrix(clique_from_codes(t, GREEDY_CLIQUES[t])).to_array()
-    M = SignMatrix.from_array(scramble(base, rng))
+    base = clique_to_matrix(clique_from_codes(t, GREEDY_CLIQUES[t]))
+    M = scramble(base, rng)
     c = matrix_to_clique(normalize(M))
     assert len(c) == len(GREEDY_CLIQUES[t])
     assert verify_clique(c), c.codes
 
 
+def test_normalize_never_writes_the_callers_array():
+    rng = Random(1)
+    base = clique_to_matrix(clique_from_codes(3, GREEDY_CLIQUES[3]))
+    for arr in [base] + [scramble(base, rng) for _ in range(10)]:
+        before = arr.copy()
+        norm = normalize(arr)
+        assert np.array_equal(arr, before)
+        assert not np.shares_memory(norm, arr)
+        # each scramble needs negations and swaps, so the copy was written
+        assert arr is base or not np.array_equal(norm, arr)
+
+
 def test_normalize_rejects_non_ph():
-    bad = SignMatrix(rows=((1, 1, 1, 1), (1, 1, 1, -1), (1, -1, 1, -1)))
+    bad = np.array([[1, 1, 1, 1], [1, 1, 1, -1], [1, -1, 1, -1]])
     with pytest.raises(NotOrthogonal):
         normalize(bad)
 
 
 def test_normalize_rejects_bad_entries_and_shape():
     with pytest.raises(BadShape):
-        normalize(SignMatrix(rows=((1, 0, 1, 1),)))
+        normalize(np.array([[1, 0, 1, 1]]))
     with pytest.raises(BadShape):
-        normalize(SignMatrix(rows=((1, 1, 1), (1, 1, -1))))
+        normalize(np.array([[1, 1, 1], [1, 1, -1]]))
     with pytest.raises(BadShape):
-        normalize(SignMatrix(rows=()))
+        normalize(np.empty((0, 0)))
 
 
 def test_normalize_rejects_a_zero_entry():
     with pytest.raises(BadShape, match="entries must be"):
-        normalize(SignMatrix(rows=((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 0, -1))))
+        normalize(np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 0, -1]]))
 
 
 def test_normalized_matrix_refuses_a_short_or_noncanonical_matrix():
     with pytest.raises(BadShape, match="needs >= 3 rows"):
-        matrix_to_clique(SignMatrix(rows=((1, 1, 1, 1), (1, 1, -1, -1))))
+        matrix_to_clique(np.array([[1, 1, 1, 1], [1, 1, -1, -1]]))
     with pytest.raises(BadShape, match="not the canonical triple"):
-        matrix_to_clique(SignMatrix(rows=((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1))))
+        matrix_to_clique(np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1]]))
 
 
 def test_matrix_to_clique_inverts_clique_to_matrix():
@@ -102,9 +114,9 @@ def test_matrix_to_clique_inverts_clique_to_matrix():
 
 def test_matrix_to_clique_names_the_row_that_does_not_decode():
     # (-1, +1, ..., +1) reads as a code with one one-bit, not 2t = 4
-    canonical = clique_to_matrix(clique_from_codes(2, [])).rows
+    canonical = clique_to_matrix(clique_from_codes(2, []))
     with pytest.raises(DecodeFailure) as err:
-        matrix_to_clique(SignMatrix(rows=(*canonical, (-1,) + (1,) * 7)))
+        matrix_to_clique(np.array([*canonical, (-1,) + (1,) * 7]))
     assert err.value.row == 3
     assert isinstance(err.value.__cause__, WeightError)
 
@@ -112,7 +124,15 @@ def test_matrix_to_clique_names_the_row_that_does_not_decode():
 def test_ingest_parses_aliases_and_comments():
     text = "# header\n+ + - -\n1 0 1 0\n\n+\t+\t-\t-\n"
     M = ingest_sign_matrix(text)
-    assert M.rows == ((1, 1, -1, -1), (1, -1, 1, -1), (1, 1, -1, -1))
+    assert np.array_equal(M, np.array([[1, 1, -1, -1], [1, -1, 1, -1], [1, 1, -1, -1]]))
+
+
+def test_ingest_of_no_rows_is_an_empty_matrix():
+    M = ingest_sign_matrix("# only a comment\n")
+    assert M.shape == (0, 0) and M.dtype == np.int64
+    rep = verify_ph(M)
+    assert rep and "vacuous" in rep.message
+    assert format_sign_matrix(M) == ""
 
 
 def test_ingest_reports_position():
@@ -131,7 +151,7 @@ def test_format_ingest_roundtrip():
     M = clique_to_matrix(clique_from_codes(3, GREEDY_CLIQUES[3]))
     text = format_sign_matrix(M)
     assert text.endswith("\n")
-    assert ingest_sign_matrix(text) == M
+    assert np.array_equal(ingest_sign_matrix(text), M)
 
 
 def test_paley_seed_sizes():
@@ -154,7 +174,7 @@ def test_paley_seed_matrix_verifies():
     for t in (4, 5, 6, 7):
         M = clique_to_matrix(paley_seed(t))
         assert verify_ph(M)
-        assert M.n == 4 * t
+        assert M.shape[1] == 4 * t
 
 
 def test_paley_seed_deterministic():
