@@ -8,22 +8,7 @@ matrix. The package provides the graph combinatorics, three searches
 Paley-block seeds, and file formats plus a CLI around them.
 """
 
-from .errors import (
-    BadCharacter,
-    BadShape,
-    BothEmpty,
-    HadcliqueError,
-    InvalidClique,
-    KOutOfRange,
-    NoDecomposition,
-    NotOrthogonal,
-    PatternError,
-    PoolTooLarge,
-    RaggedRows,
-    RangeError,
-    TooLarge,
-    WeightError,
-)
+from .errors import HadcliqueError, NoDecomposition
 from .graph import (
     Clique,
     VertexCode,

@@ -276,7 +276,7 @@ def _git_sha() -> str:
 def _machine() -> dict[str, object]:
     return {
         "cpus": os.cpu_count(),
-        "ram_gb": round(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 1e9, 1),
+        "ram_gb": round(graph._physical_bytes() / 1e9, 1),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "git": _git_sha(),
@@ -343,8 +343,9 @@ def main(argv: list[str] | None = None) -> int:
 
     One handler maps every error to its documented code: a ValueError,
     raised by the parser, a subcommand or the library for a setting it
-    refuses, is a usage error (64); any other library error, and a file that
-    cannot be read (missing, a directory, or not UTF-8) or written, is 1.
+    refuses, is a usage error (64); a HadcliqueError, a value that fails a
+    check, and a file that cannot be read (missing, a directory, or not
+    UTF-8) or written, is 1. cmd_paley turns NoDecomposition into 2.
     --help returns 0.
     """
     handlers = {

@@ -18,7 +18,7 @@ from functools import lru_cache
 from random import Random
 from typing import Sequence
 
-from .errors import HadcliqueError, InvalidClique
+from .errors import HadcliqueError
 from .graph import (
     Clique,
     MaterializedPool,
@@ -144,12 +144,12 @@ def extend_exact(c: Clique, rng: Random) -> Clique:
     rejected; they are kept as given, and the new picks follow them. The
     pool is vertex_pool(t) refined by them all in one batched call, or an
     empty c's random start's neighbors. It is held as halves and never
-    materialized; graph.vertex_pool raises PoolTooLarge for a t past
+    materialized; graph.vertex_pool raises ValueError for a t past
     graph.pool_bytes before it allocates.
     """
     rep = verify_clique(c)
     if not rep:
-        raise InvalidClique(rep.message)
+        raise HadcliqueError(rep.message)
     if c.members:
         return _grow(_filter_pool(vertex_pool(c.t), *c.members), c.members, rng)
     start = _random_start(c.t, rng)

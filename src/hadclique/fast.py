@@ -30,7 +30,7 @@ from random import Random
 
 import numpy as np
 
-from .errors import HadcliqueError, InvalidClique
+from .errors import HadcliqueError
 from .graph import (
     MAX_T,
     Clique,
@@ -264,13 +264,13 @@ def run_fast(seed: Clique, cfg: FastConfig) -> Clique:
     construction repeats until t consecutive failures, or until the clique
     holds 4t - 3 members, the most any clique of G_t can hold.
     The seed must be a valid clique of the configured t; otherwise
-    InvalidClique is raised.
+    HadcliqueError is raised.
     """
     if seed.t != cfg.t:
-        raise InvalidClique(f"seed is a G_{seed.t} clique but the search is configured for t={cfg.t}")
+        raise HadcliqueError(f"seed is a G_{seed.t} clique but the search is configured for t={cfg.t}")
     rep = verify_clique(seed)
     if not rep:
-        raise InvalidClique(rep.message)
+        raise HadcliqueError(rep.message)
     rng = Random(cfg.rng_seed)
     t = cfg.t
     members = list(seed.members)

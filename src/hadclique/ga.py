@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable, Sequence
 
-from .errors import BothEmpty, HadcliqueError
+from .errors import HadcliqueError
 from .exact import extend_exact
 from .graph import Clique, pool_bytes, random_vertex, vertex_pool
 from .report import EssayResult, SearchReport, _check_int, _check_run, run_essays
@@ -70,7 +70,7 @@ def crossover(a: Chromosome, b: Chromosome, rng: Random) -> list[int]:
     """
     fa, fb = a.fitness, b.fitness
     if fa + fb == 0:
-        raise BothEmpty("crossover needs at least one nonempty parent")
+        raise ValueError("crossover needs at least one nonempty parent")
     weight = fa / (fa + fb)
     out: list[int] = []
     for i in range(max(fa, fb)):

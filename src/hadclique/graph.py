@@ -67,14 +67,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    InfeasibleQuarter,
-    KOutOfRange,
-    PatternError,
-    PoolTooLarge,
-    RangeError,
-    WeightError,
-)
+from .errors import HadcliqueError
 
 __all__ = [
     "MAX_T",
@@ -160,21 +153,21 @@ def join_quarters(qs: Sequence[int], t: int) -> int:
 def decode(code: int, t: int) -> VertexCode:
     """Validate a code as a vertex of G_t, reporting its class k.
 
-    Raises RangeError when the code does not fit in 4t bits, WeightError
-    when it does not carry exactly 2t ones, and PatternError when the
-    quarter counts are not (k, t-k, t-k, k) for any k.  All k in [0, t] are
+    Raises HadcliqueError when t < 1, when the code does not fit in 4t
+    bits, when it does not carry exactly 2t ones, or when the quarter
+    counts are not (k, t-k, t-k, k) for any k.  All k in [0, t] are
     accepted; the k <= t//2 restriction applies only to adjacency
     generation, complements covering the upper classes.
     """
     if t < 1:
-        raise RangeError(f"t must be positive, got {t}")
+        raise HadcliqueError(f"t must be positive, got {t}")
     if not 0 <= code < (1 << (4 * t)):
-        raise RangeError(f"code {code} does not fit in {4 * t} bits")
+        raise HadcliqueError(f"code {code} does not fit in {4 * t} bits")
     if code.bit_count() != 2 * t:
-        raise WeightError(f"code {code} has {code.bit_count()} one-bits, expected {2 * t}")
+        raise HadcliqueError(f"code {code} has {code.bit_count()} one-bits, expected {2 * t}")
     c1, c2, c3, c4 = (q.bit_count() for q in quarters_of(code, t))
     if c1 != c4 or c2 != c3 or c1 + c2 != t:
-        raise PatternError(
+        raise HadcliqueError(
             f"quarter one-bit counts ({c1},{c2},{c3},{c4}) are not (k,t-k,t-k,k)"
         )
     return VertexCode(t=t, code=code, k=c1)
@@ -222,7 +215,7 @@ def s_range(t: int, k: int) -> range:
     May be empty (t odd, k = 0).
     """
     if not 0 <= k <= t // 2:
-        raise KOutOfRange(f"k={k} outside [0, {t // 2}] for t={t}")
+        raise ValueError(f"k={k} outside [0, {t // 2}] for t={t}")
     return range(max(0, (t + 1) // 2 - k), t // 2 + 1)
 
 
@@ -299,14 +292,14 @@ def generator_set(
     """
     t, k = v.t, v.k
     if len(ordered_alphas) != 4:
-        raise InfeasibleQuarter("need one coincidence count per quarter")
+        raise ValueError("need one coincidence count per quarter")
     ladder = coincidence_range(t, k, s)
     pools = []
     for q, (alpha, ref, weight) in enumerate(
         zip(ordered_alphas, quarters_of(v.code, t), (s, t - s, t - s, s))
     ):
         if alpha not in ladder:
-            raise InfeasibleQuarter(
+            raise ValueError(
                 f"quarter {q + 1}: {alpha} total coincidences outside {list(ladder)}"
             )
         pools.append(_pool(ref, t, weight, (alpha - t + k + s) // 2, in_ones=q in (0, 3)))
@@ -341,7 +334,7 @@ def degree(t: int, k: int) -> int:
     so every class is counted as its image with k, s <= t//2.
     """
     if not 0 <= k <= t:
-        raise KOutOfRange(f"k={k} outside [0, {t}]")
+        raise ValueError(f"k={k} outside [0, {t}]")
     kp = min(k, t - k)
     return sum(count_orthogonal(t, kp, min(s, t - s)) for s in range(t + 1))
 
@@ -374,7 +367,7 @@ def adjacency(v: VertexCode) -> np.ndarray:
     """
     t = v.t
     if t > MAX_T:
-        raise RangeError(f"adjacency materialization needs 4t <= 64 bits, got t={t}")
+        raise ValueError(f"adjacency materialization needs 4t <= 64 bits, got t={t}")
     base = complement(v) if v.k > t // 2 else v  # same neighbor set
     mask = np.uint64(full_mask(t))
     chunks = []
@@ -646,15 +639,15 @@ def pool_bytes(t: int, jobs: int = 1) -> int:
     The estimate is BASE_BYTES plus, for each of 2 * C(2t, t) halves (the
     left side holds only half of them), SHARED_HALF_BYTES for the tables
     the essays share and ESSAY_HALF_BYTES for each essay's own peak.
-    Raises PoolTooLarge when t is outside 1..MAX_T or the estimate exceeds
+    Raises ValueError when t is outside 1..MAX_T or the estimate exceeds
     the machine's physical memory, before anything is allocated.
     """
     if not 1 <= t <= MAX_T:
-        raise PoolTooLarge(f"t must be in 1..{MAX_T} (4t <= 64 bits), got {t}")
+        raise ValueError(f"t must be in 1..{MAX_T} (4t <= 64 bits), got {t}")
     need = BASE_BYTES + 2 * math.comb(2 * t, t) * (SHARED_HALF_BYTES + jobs * ESSAY_HALF_BYTES)
     have = _physical_bytes()
     if need > have:
-        raise PoolTooLarge(
+        raise ValueError(
             f"t={t} needs about {need >> 20} MB for the neighbor pool and {jobs} essay(s) at once, "
             f"more than the {have >> 20} MB of physical memory"
         )

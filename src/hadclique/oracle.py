@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import graph
-from .errors import HadcliqueError, InvalidClique, TooLarge
+from .errors import HadcliqueError
 from .graph import Clique, VertexCode, decode
 
 __all__ = [
@@ -69,7 +69,7 @@ def _scan_codes(t: int) -> np.ndarray:
 def vertex_codes(t: int) -> np.ndarray:
     """Ascending uint64 array of every vertex code of G_t (exhaustive scan)."""
     if t > ENUMERATE_T_MAX:
-        raise TooLarge(f"enumeration scans 2^{4 * t} codes; t={t} > {ENUMERATE_T_MAX}")
+        raise ValueError(f"enumeration scans 2^{4 * t} codes; t={t} > {ENUMERATE_T_MAX}")
     return _scan_codes(t)
 
 
@@ -81,7 +81,7 @@ def enumerate_vertices(t: int) -> list[VertexCode]:
 def brute_adjacency_codes(v: VertexCode) -> np.ndarray:
     """Codes of all w orthogonal to v, by popcount over the full vertex set."""
     if v.t > ADJACENCY_T_MAX:
-        raise TooLarge(f"brute adjacency is quadratic in |G_t|; t={v.t} > {ADJACENCY_T_MAX}")
+        raise ValueError(f"brute adjacency is quadratic in |G_t|; t={v.t} > {ADJACENCY_T_MAX}")
     codes = vertex_codes(v.t)
     return codes[np.bitwise_count(codes ^ np.uint64(v.code)) == 2 * v.t]
 
@@ -132,7 +132,7 @@ def clique_to_matrix(c: Clique) -> np.ndarray:
     """
     rep = verify_clique(c)
     if not rep:
-        raise InvalidClique(rep.message)
+        raise HadcliqueError(rep.message)
     t = c.t
     n = 4 * t
     rows = [_canonical_rows(t)]

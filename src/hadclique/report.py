@@ -195,7 +195,6 @@ def run_essays(
         config=config,
         essays=tuple(results),
         started=started,
-        finished=utc_stamp(),
     )
 
 

@@ -17,15 +17,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import (
-    BadCharacter,
-    BadShape,
-    DecodeFailure,
-    HadcliqueError,
-    NoDecomposition,
-    NotOrthogonal,
-    RaggedRows,
-)
+from .errors import HadcliqueError, NoDecomposition
 from .graph import Clique, decode
 from .oracle import _canonical_rows
 
@@ -60,13 +52,13 @@ def normalize(M: np.ndarray) -> np.ndarray:
     arr = np.array(M, dtype=np.int64)
     m, n = arr.shape
     if m < 3 or n < 4 or n % 4:
-        raise BadShape(f"need >= 3 rows and 4t columns, got {m} x {n}")
+        raise HadcliqueError(f"need >= 3 rows and 4t columns, got {m} x {n}")
     if not np.isin(arr, (-1, 1)).all():
-        raise BadShape("entries must be +1 or -1")
+        raise HadcliqueError("entries must be +1 or -1")
     gram = arr @ arr.T
     if (gram - np.diag(np.diag(gram))).any():
         i, j = np.argwhere(gram - np.diag(np.diag(gram)))[0]
-        raise NotOrthogonal(f"rows {i} and {j} have inner product {gram[i, j]}")
+        raise HadcliqueError(f"rows {i} and {j} have inner product {gram[i, j]}")
     t = n // 4
 
     arr[:, arr[0] < 0] *= -1
@@ -94,18 +86,18 @@ def matrix_to_clique(M: np.ndarray) -> Clique:
 
     M must be in normal form: at least 3 rows, 4t columns, and the
     canonical triple as its first three rows, as normalize returns it;
-    anything else raises BadShape. Entry -1 maps to bit 1, column 1 being
-    the most significant bit; a row that is no valid vertex raises
-    DecodeFailure carrying its 0-based row index. Each code is built from
+    anything else raises HadcliqueError. Entry -1 maps to bit 1, column 1
+    being the most significant bit; a row that is no valid vertex raises
+    HadcliqueError naming its 0-based row index. Each code is built from
     the row's Python ints, so members are plain ints even at 64 columns,
     where a numpy integer would overflow.
     """
     m, n = M.shape
     if m < 3 or n < 4 or n % 4:
-        raise BadShape(f"normalized matrix needs >= 3 rows and 4t columns, got {m} x {n}")
+        raise HadcliqueError(f"normalized matrix needs >= 3 rows and 4t columns, got {m} x {n}")
     t = n // 4
     if (M[:3] != _canonical_rows(t)).any():
-        raise BadShape("first three rows are not the canonical triple")
+        raise HadcliqueError("first three rows are not the canonical triple")
     members = []
     for r in range(3, m):
         code = 0
@@ -114,7 +106,7 @@ def matrix_to_clique(M: np.ndarray) -> Clique:
         try:
             members.append(decode(code, t).code)
         except HadcliqueError as exc:
-            raise DecodeFailure(f"row {r} does not decode: {exc}", row=r) from exc
+            raise HadcliqueError(f"row {r} does not decode: {exc}") from exc
     return Clique(t=t, members=tuple(members))
 
 
@@ -138,9 +130,9 @@ def ingest_sign_matrix(text: str) -> np.ndarray:
             elif ch in "-0":
                 row.append(-1)
             else:
-                raise BadCharacter(f"line {ln}, column {col}: unexpected {ch!r}", line=ln, column=col)
+                raise HadcliqueError(f"line {ln}, column {col}: unexpected {ch!r}")
         if rows and len(row) != len(rows[0]):
-            raise RaggedRows(f"line {ln} has {len(row)} entries, expected {len(rows[0])}")
+            raise HadcliqueError(f"line {ln} has {len(row)} entries, expected {len(rows[0])}")
         rows.append(row)
     return np.array(rows, dtype=np.int64) if rows else np.empty((0, 0), dtype=np.int64)
 

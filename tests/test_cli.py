@@ -152,12 +152,39 @@ def test_ga_at_t_one_is_a_usage_error(tmp_path, capsys):
 
 
 def test_bad_code_in_a_clique_file_is_not_a_usage_error(capsys):
-    # decode's RangeError stays a bad input, apart from the t refusals above
+    # a code that does not fit in 4t bits is a bad input (exit 1), where a bad t is refused (64)
     with open("bad.clq", "w") as fh:
         fh.write("2\n256\n")
     assert main(["extend", "bad.clq"]) == EX_VERIFY
     assert main(["search", "fast", "--t", "2", "--seed-file", "bad.clq"]) == EX_VERIFY
     assert "does not fit in 8 bits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["normalize", "in.txt", "--out", "out.txt"], "++++\n++\n", "line 2 has 2 entries, expected 4"),
+        (["normalize", "in.txt", "--out", "out.txt"], "++++\n++x-\n", "line 2, column 3: unexpected 'x'"),
+        (["normalize", "in.txt", "--out", "out.txt"], "++++\n++--\n", "need >= 3 rows and 4t columns, got 2 x 4"),
+        (["normalize", "in.txt", "--out", "out.txt"], "++++\n+++-\n+-+-\n", "rows 0 and 1 have inner product 2"),
+        (["verify", "in.txt"], "1\n3\n", "quarter one-bit counts (0,0,1,1) are not (k,t-k,t-k,k)"),
+        (["verify", "in.txt"], "2\n7\n", "code 7 has 3 one-bits, expected 4"),
+        (["extend", "in.txt", "--out", "out.txt"], "2\n166 89\n",
+         "members 0 and 1 (codes 166, 89) are not orthogonal"),
+        (["extend", "in.txt", "--algorithm", "fast", "--out", "out.txt"], "2\n166 89\n",
+         "members 0 and 1 (codes 166, 89) are not orthogonal"),
+    ],
+)
+def test_data_that_fails_a_check_exits_1_with_one_line(argv, text, message, capsys):
+    # a HadcliqueError from the library names the fault, position included,
+    # on one stderr line, and nothing is written
+    with open("in.txt", "w") as fh:
+        fh.write(text)
+    assert main(argv) == EX_VERIFY
+    captured = capsys.readouterr()
+    assert captured.err == f"hadclique: {message}\n"
+    assert captured.out == ""
+    assert not os.path.exists("out.txt")
 
 
 def test_search_exact_writes_report(tmp_path, capsys):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from hadclique import (
-    InvalidClique,
     Clique,
     ExactSearchConfig,
+    HadcliqueError,
     adjacency,
     brute_adjacency_codes,
     clique_from_codes,
@@ -132,19 +132,6 @@ def test_a_64_column_matrix_decodes_to_plain_int_members():
     assert all(type(m) is int for m in full.members)
     assert max(full.members) >= 1 << 63
     assert verify_clique(full)
-
-
-@pytest.mark.parametrize("t", [5, 8, 11])
-def test_paley_one_gives_a_full_clique_with_an_empty_pool(t):
-    # a Hadamard matrix built without the kernel: its normal form is
-    # Hadamard, its rows below the canonical three are 4t - 3 pairwise
-    # orthogonal vertices, and no vertex of G_t is orthogonal to them all
-    M = normalize(_paley_block(4 * t - 1)[::2, ::2])  # Paley I
-    assert verify_ph(M)
-    full = matrix_to_clique(M)
-    assert len(full) == 4 * t - 3
-    assert verify_clique(full)
-    assert graph.vertex_pool(t).refine(*full.members).size == 0
 
 
 @pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7, 8, 9, 10])
@@ -275,7 +262,7 @@ def test_extend_exact_empty_input_starts_fresh():
 
 
 def test_extend_exact_rejects_invalid_input():
-    with pytest.raises(InvalidClique):
+    with pytest.raises(HadcliqueError, match=r"members 0 and 1 \(codes 166, 89\) are not orthogonal"):
         extend_exact(clique_from_codes(2, [166, 89]), Random(0))
 
 

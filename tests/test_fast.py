@@ -12,7 +12,6 @@ from hadclique import (
     Clique,
     FastConfig,
     HadcliqueError,
-    InvalidClique,
     NoDecomposition,
     buildgrapas,
     brute_adjacency_codes,
@@ -239,9 +238,9 @@ def test_buildgrapas_raises_on_a_non_orthogonal_construction(monkeypatch):
 
 
 def test_run_fast_requires_matching_seed():
-    with pytest.raises(InvalidClique):
+    with pytest.raises(HadcliqueError, match="seed is a G_2 clique but the search is configured for t=3"):
         run_fast(clique_from_codes(2, [166]), FastConfig(t=3))
-    with pytest.raises(InvalidClique):
+    with pytest.raises(HadcliqueError, match=r"members 0 and 1 \(codes 166, 89\) are not orthogonal"):
         run_fast(clique_from_codes(2, [166, 89]), FastConfig(t=2))
 
 

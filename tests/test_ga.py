@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 
 from hadclique import (
-    BothEmpty,
     Clique,
     GaConfig,
     HadcliqueError,
@@ -55,7 +54,7 @@ def test_config_rejects_g1_before_seeding(population, monkeypatch):
 
 def test_crossover_needs_a_parent():
     empty = Chromosome(Clique(t=2, members=()))
-    with pytest.raises(BothEmpty):
+    with pytest.raises(ValueError, match="crossover needs at least one nonempty parent"):
         crossover(empty, empty, Random(0))
 
 

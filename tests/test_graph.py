@@ -7,11 +7,8 @@ import pytest
 from hypothesis import given, settings
 
 from hadclique import (
-    KOutOfRange,
-    PatternError,
-    RangeError,
+    HadcliqueError,
     VertexCode,
-    WeightError,
     adjacency,
     class_size,
     clique_from_codes,
@@ -30,7 +27,6 @@ from hadclique import (
     vertex_count,
 )
 from hadclique import graph
-from hadclique.errors import InfeasibleQuarter
 from hadclique.graph import complement, full_mask, s_range, vertex_pool
 
 from published import CENSUS, ORTHOGONAL_COUNTS
@@ -47,15 +43,15 @@ def test_decode_worked_example():
 
 
 def test_decode_rejects_bad_weights():
-    with pytest.raises(WeightError):
+    with pytest.raises(HadcliqueError, match="code 1 has 1 one-bits, expected 2"):
         decode(0b0001, 1)  # one-bit total, need 2t = 2
-    with pytest.raises(PatternError):
+    with pytest.raises(HadcliqueError, match=r"quarter one-bit counts \(0,0,1,1\) are not"):
         decode(0b0011, 1)  # quarter weights (0,0,1,1), not (k,t-k,t-k,k)
-    with pytest.raises(RangeError):
+    with pytest.raises(HadcliqueError, match="code -1 does not fit in 8 bits"):
         decode(-1, 2)
-    with pytest.raises(RangeError):
+    with pytest.raises(HadcliqueError, match="code 256 does not fit in 8 bits"):
         decode(1 << 8, 2)
-    with pytest.raises(RangeError, match="t must be positive"):
+    with pytest.raises(HadcliqueError, match="t must be positive"):
         decode(0, 0)
 
 
@@ -148,7 +144,7 @@ def test_degree_symmetric_in_k():
     for t in range(2, 9):
         for k in range(t + 1):
             assert degree(t, k) == degree(t, t - k)
-    with pytest.raises(KOutOfRange):
+    with pytest.raises(ValueError, match=r"k=5 outside \[0, 4\]"):
         degree(4, 5)
 
 
@@ -167,7 +163,7 @@ def test_count_orthogonal_empty_classes():
     assert count_orthogonal(5, 0, 0) == 0
     assert count_orthogonal(5, 0, 1) == 0
     assert count_orthogonal(7, 0, 3) == 0
-    with pytest.raises(KOutOfRange):
+    with pytest.raises(ValueError, match=r"k=3 outside \[0, 2\] for t=5"):
         s_range(5, 3)
 
 
@@ -303,9 +299,9 @@ def test_generator_sets_partition_the_adjacency_counts(v):
 
 def test_generator_set_rejects_infeasible_quarters():
     v = decode(684646, 5)
-    with pytest.raises(InfeasibleQuarter):
+    with pytest.raises(ValueError, match="need one coincidence count per quarter"):
         generator_set(v, (2, 2, 2), 1)  # one count short
-    with pytest.raises(InfeasibleQuarter):
+    with pytest.raises(ValueError, match=r"quarter 3: 3 total coincidences outside \[2, 4\]"):
         generator_set(v, (2, 2, 3, 3), 1)  # 3 is off the ladder 2, 4
 
 
@@ -347,7 +343,7 @@ def test_adjacency_sizes_match_degree(monkeypatch):
     # a code past 64 bits is refused before the mask or any pool is built
     monkeypatch.setattr(graph, "full_mask", None)
     v = VertexCode(t=17, code=((1 << 34) - 1) << 17, k=0)
-    with pytest.raises(RangeError, match="4t <= 64"):
+    with pytest.raises(ValueError, match="adjacency materialization needs 4t <= 64"):
         adjacency(v)
 
 

@@ -5,8 +5,7 @@ import pytest
 
 from hadclique import (
     Clique,
-    InvalidClique,
-    TooLarge,
+    HadcliqueError,
     adjacency,
     brute_adjacency_codes,
     class_size,
@@ -36,9 +35,9 @@ def test_enumeration_matches_census():
 
 
 def test_enumeration_guard():
-    with pytest.raises(TooLarge):
+    with pytest.raises(ValueError, match=r"enumeration scans 2\^28 codes; t=7 > 6"):
         vertex_codes(7)
-    with pytest.raises(TooLarge):
+    with pytest.raises(ValueError, match=r"brute adjacency is quadratic in \|G_t\|; t=6 > 5"):
         brute_adjacency_codes(random_vertex(6, Random(0)))
 
 
@@ -121,7 +120,7 @@ def test_clique_to_matrix_sign_convention():
 
 
 def test_clique_to_matrix_rejects_invalid():
-    with pytest.raises(InvalidClique):
+    with pytest.raises(HadcliqueError, match=r"members 0 and 1 are duplicates \(code 166\)"):
         clique_to_matrix(clique_from_codes(2, [166, 166]))
 
 

@@ -17,7 +17,7 @@ import pytest
 
 from hadclique import Clique, ExactSearchConfig, FastConfig, GaConfig
 from hadclique import exact, fast, ga, graph
-from hadclique.errors import InvalidClique
+from hadclique.errors import HadcliqueError
 from hadclique.report import EssayResult, run_essays
 
 CONFIG = (("essays", 0), ("rng_seed", 0))
@@ -130,12 +130,16 @@ def test_without_fork_the_essays_run_inline(tmp_path, monkeypatch):
     assert threads == {threading.get_ident()}
 
 
+class EssayFailed(HadcliqueError):
+    """An error type that only the essays below raise."""
+
+
 def _raise_at_3(marks, delay=lambda i: 0.0):
     stub = _stub(marks, delay)
 
     def essay(i: int) -> EssayResult:
         if i == 3:
-            raise InvalidClique("essay 3 failed")
+            raise EssayFailed("essay 3 failed")
         return stub(i)
 
     return essay
@@ -143,10 +147,10 @@ def _raise_at_3(marks, delay=lambda i: 0.0):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_an_essay_error_reaches_the_caller_with_its_type(jobs, tmp_path):
-    with pytest.raises(InvalidClique, match="essay 3 failed") as info:
+    with pytest.raises(EssayFailed, match="essay 3 failed") as info:
         run_essays("stub", 2, CONFIG, _raise_at_3(tmp_path), essays=8, jobs=jobs)
     if jobs > 1:
-        assert 'raise InvalidClique("essay 3 failed")' in str(info.value.__cause__)  # the worker's traceback
+        assert 'raise EssayFailed("essay 3 failed")' in str(info.value.__cause__)  # the worker's traceback
 
 
 def test_a_worker_that_dies_is_an_error(tmp_path):
@@ -172,7 +176,7 @@ def test_no_worker_outlives_the_call(run, tmp_path):
     else:
         # essay 0 would sleep a minute: the worker running it is terminated
         begin = time.perf_counter()
-        with pytest.raises(InvalidClique):
+        with pytest.raises(EssayFailed):
             run_essays("stub", 2, CONFIG, _raise_at_3(tmp_path, lambda i: 60.0 * (i == 0)), essays=8, jobs=2)
         assert time.perf_counter() - begin < 30
     assert multiprocessing.active_children() == []
