@@ -6,6 +6,9 @@ and a clique of size m therefore certifies an (m+3) x 4t partial Hadamard
 matrix. The package provides the graph combinatorics, three searches
 (greedy exact, genetic, and a quarter-by-quarter constructive heuristic),
 Paley-block seeds, and file formats plus a CLI around them.
+
+The root holds the calls README's Library section shows; helpers are
+imported from their modules, such as hadclique.files.read_clique.
 """
 
 from .errors import HadcliqueError, NoDecomposition
@@ -14,7 +17,6 @@ from .graph import (
     VertexCode,
     adjacency,
     class_size,
-    clique_from_codes,
     coincidence_range,
     count_orthogonal,
     decode,
@@ -22,25 +24,14 @@ from .graph import (
     distinct_orderings,
     edge_count,
     generator_set,
-    join_quarters,
-    orthogonal_codes,
-    quarters_of,
-    random_vertex,
     solve_distributions,
     vertex_count,
 )
-from .oracle import (
-    brute_adjacency_codes,
-    clique_to_matrix,
-    enumerate_vertices,
-    verify_clique,
-    verify_ph,
-    vertex_codes,
-)
+from .oracle import clique_to_matrix, verify_clique, verify_ph
 from .exact import ExactSearchConfig, extend_exact, run_exact
-from .fast import FastConfig, buildgrapas, run_fast
-from .files import format_clique_text, parse_clique_text, read_clique, write_report
-from .ga import GaConfig, crossover, mutate, repair, run_ga
+from .fast import FastConfig, run_fast
+from .files import write_report
+from .ga import GaConfig, run_ga
 from .seeds import (
     format_sign_matrix,
     ingest_sign_matrix,

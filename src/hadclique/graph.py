@@ -578,30 +578,28 @@ class NeighborPool:
         code is, so the refined halves still hold half the pool.
         """
         pool: NeighborPool | MaterializedPool = self
-        width = self.t + 1
+        half, width = 2 * self.t, self.t + 1
+        mask = (1 << half) - 1
         while codes and isinstance(pool, NeighborPool):
             halves = pool.left.size + pool.right.size
             c, bins = 1, pool.right_count.size * width
             while c < len(codes) and bins * width <= halves:
                 c, bins = c + 1, bins * width
-            pool, codes = pool._refine(codes[:c], bins), codes[c:]
+            batch, codes = codes[:c], codes[c:]
+            # _regroup empties the list, so the keyed ids die with its pass
+            ids = [_keyed(pool.left, pool.left_id, [~(u >> half) & mask for u in batch], width),
+                   _keyed(pool.right, pool.right_id, [u & mask for u in batch], width)]
+            pool = _regroup(self.t, pool.left, pool.right, ids, bins)
         return pool.refine(*codes) if codes else pool
-
-    def _refine(self, codes: Sequence[int], bins: int) -> NeighborPool | MaterializedPool:
-        """One pass of refine: key both sides by group and each code, then regroup."""
-        half, width = 2 * self.t, self.t + 1
-        mask = (1 << half) - 1
-        ids = [_keyed(self.left, self.left_id, [~(c >> half) & mask for c in codes], width),
-               _keyed(self.right, self.right_id, [c & mask for c in codes], width)]
-        return _regroup(self.t, self.left, self.right, ids, bins)
 
     def code_at(self, r: int) -> int:
         """The rank-r code of the pool in ascending order."""
         r, flip = _mirror(r, self.size, self.t)
         ends = self.right_count.take(self.left_id).cumsum()
-        i = int(np.searchsorted(ends, r, side="right"))
-        g = self.left_id[i]
-        right = self.right[np.flatnonzero(self.right_id == g)[r - ends[i] + self.right_count[g]]]
+        i = int(ends.searchsorted(r, "right"))
+        g = int(self.left_id[i])
+        j = r - int(ends[i]) + int(self.right_count[g])
+        right = self.right[(self.right_id == g).nonzero()[0][j]]
         return ((int(self.left[i]) << (2 * self.t)) | int(right)) ^ flip
 
     def codes(self) -> np.ndarray:

@@ -16,7 +16,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import graph
 from .errors import HadcliqueError
 from .graph import Clique, VertexCode, decode
 
@@ -160,8 +159,7 @@ def verify_ph(M: np.ndarray) -> Report:
     gram = M @ M.T
     off = gram - n * np.eye(m, dtype=np.int64)
     if off.any():
+        # off is symmetric with a zero diagonal, so the row-major scan meets i < j first
         i, j = (int(x) for x in np.argwhere(off)[0])
-        if i > j:
-            i, j = j, i
         return Report(False, f"rows {i} and {j} have inner product {gram[i, j]}, expected 0")
     return Report(True, f"{m} x {n} partial Hadamard matrix verified")

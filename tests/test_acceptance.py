@@ -15,19 +15,15 @@ from hadclique import (
     FastConfig,
     GaConfig,
     adjacency,
-    brute_adjacency_codes,
     class_size,
-    clique_from_codes,
     clique_to_matrix,
     count_orthogonal,
     decode,
     degree,
     distinct_orderings,
     edge_count,
-    enumerate_vertices,
     generator_set,
     paley_seed,
-    random_vertex,
     run_exact,
     run_fast,
     run_ga,
@@ -36,6 +32,8 @@ from hadclique import (
     verify_ph,
     vertex_count,
 )
+from hadclique.graph import clique_from_codes, random_vertex
+from hadclique.oracle import brute_adjacency_codes, enumerate_vertices
 
 from conftest import acceptance_lines
 from published import CENSUS, EXTENSION_VERTICES, GA_CLIQUES, GREEDY_CLIQUES, ORTHOGONAL_COUNTS

@@ -8,19 +8,16 @@ from hypothesis import given, settings
 
 from hadclique import (
     Clique,
-    clique_from_codes,
     clique_to_matrix,
-    format_clique_text,
     format_sign_matrix,
     ingest_sign_matrix,
-    parse_clique_text,
-    read_clique,
     verify_clique,
     verify_ph,
 )
 from hadclique import exact, fast, ga, graph, seeds
-from hadclique.files import read_report
+from hadclique.files import format_clique_text, parse_clique_text, read_clique, read_report
 from hadclique.cli import EX_EMPTY, EX_OK, EX_USAGE, EX_VERIFY, _is_sign_matrix, main
+from hadclique.graph import clique_from_codes
 
 from published import GREEDY_CLIQUES
 
@@ -385,8 +382,6 @@ def test_verify_missing_file(capsys):
 
 
 def test_normalize_restores_canonical_rows(tmp_path, capsys):
-    from hadclique import clique_from_codes, clique_to_matrix, format_sign_matrix
-
     arr = clique_to_matrix(clique_from_codes(2, GREEDY_CLIQUES[2]))
     arr = arr[:, [3, 0, 6, 2, 7, 4, 1, 5]]
     arr[:, 2] *= -1

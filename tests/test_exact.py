@@ -10,23 +10,21 @@ from hadclique import (
     ExactSearchConfig,
     HadcliqueError,
     adjacency,
-    brute_adjacency_codes,
-    clique_from_codes,
     decode,
     degree,
     extend_exact,
     matrix_to_clique,
     normalize,
     paley_seed,
-    random_vertex,
     run_exact,
     verify_clique,
     verify_ph,
 )
 from hadclique import exact, graph
 from hadclique.exact import _random_start
-from hadclique.graph import BASE_BYTES, pool_bytes
+from hadclique.graph import BASE_BYTES, clique_from_codes, pool_bytes, random_vertex
 from hadclique.seeds import _paley_block
+from hadclique.oracle import brute_adjacency_codes
 
 
 def test_config_validation():

@@ -13,15 +13,9 @@ from hadclique import (
     FastConfig,
     HadcliqueError,
     NoDecomposition,
-    buildgrapas,
-    brute_adjacency_codes,
-    clique_from_codes,
     coincidence_range,
     decode,
-    join_quarters,
-    orthogonal_codes,
     paley_seed,
-    quarters_of,
     run_fast,
     verify_clique,
 )
@@ -31,12 +25,20 @@ from hadclique.fast import (
     _inner_search,
     _target_table,
     _valid_rows,
+    buildgrapas,
     completions,
     feasible_targets,
     run_many,
 )
 from hadclique import fast
-from hadclique.graph import weight_masks
+from hadclique.graph import (
+    clique_from_codes,
+    join_quarters,
+    orthogonal_codes,
+    quarters_of,
+    weight_masks,
+)
+from hadclique.oracle import brute_adjacency_codes
 
 
 def test_config_defaults_scale_with_t():

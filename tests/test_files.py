@@ -1,20 +1,25 @@
+import importlib
+import re
+from pathlib import Path
+from types import ModuleType
+
 import pytest
 
+import hadclique
 from hadclique import (
     Clique,
     ExactSearchConfig,
     HadcliqueError,
-    clique_from_codes,
-    format_clique_text,
-    parse_clique_text,
-    read_clique,
     run_exact,
     verify_clique,
     write_report,
 )
-from hadclique.files import read_report
+from hadclique.files import format_clique_text, parse_clique_text, read_clique, read_report
+from hadclique.graph import clique_from_codes
 
 from published import GREEDY_CLIQUES
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _report_text(rep, tmp_path):
@@ -142,3 +147,24 @@ def test_read_report_reads_a_bare_key_as_empty(tmp_path):
     p = tmp_path / "bare.report"
     p.write_text("algorithm: exact\nbest.members:\n")
     assert read_report(p) == {"algorithm": "exact", "best.members": ""}
+
+
+def _resolve(path):
+    obj, name = hadclique, "hadclique"
+    for part in path.split("."):
+        name += "." + part
+        obj = getattr(obj, part) if hasattr(obj, part) else importlib.import_module(name)
+    return obj
+
+
+def test_readme_shows_the_package_root_and_nothing_stale():
+    # the root is the documented API: every hc.<name> and hadclique.<name>
+    # the README names resolves, and every public name of the root that is
+    # not a submodule is shown there
+    shown = set()
+    for path in re.findall(r"\b(?:hc|hadclique)\.([A-Za-z_][\w.]*\w)", README.read_text("utf-8")):
+        _resolve(path)
+        shown.add(path.split(".")[0])
+    public = {name for name, value in vars(hadclique).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert public - shown == set()

@@ -10,20 +10,20 @@ from hadclique import (
     Clique,
     GaConfig,
     HadcliqueError,
-    clique_from_codes,
-    crossover,
     decode,
     extend_exact,
-    mutate,
-    orthogonal_codes,
-    random_vertex,
-    repair,
     run_ga,
     verify_clique,
 )
 from hadclique import exact, ga, graph
-from hadclique.ga import Chromosome, run_many
-from hadclique.graph import BASE_BYTES, pool_bytes
+from hadclique.ga import Chromosome, crossover, mutate, repair, run_many
+from hadclique.graph import (
+    BASE_BYTES,
+    clique_from_codes,
+    orthogonal_codes,
+    pool_bytes,
+    random_vertex,
+)
 
 
 def test_config_validation():

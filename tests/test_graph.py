@@ -11,7 +11,6 @@ from hadclique import (
     VertexCode,
     adjacency,
     class_size,
-    clique_from_codes,
     coincidence_range,
     count_orthogonal,
     decode,
@@ -19,15 +18,21 @@ from hadclique import (
     distinct_orderings,
     edge_count,
     generator_set,
-    join_quarters,
-    orthogonal_codes,
-    quarters_of,
-    random_vertex,
     solve_distributions,
     vertex_count,
 )
 from hadclique import graph
-from hadclique.graph import complement, full_mask, s_range, vertex_pool
+from hadclique.graph import (
+    clique_from_codes,
+    complement,
+    full_mask,
+    join_quarters,
+    orthogonal_codes,
+    quarters_of,
+    random_vertex,
+    s_range,
+    vertex_pool,
+)
 
 from published import CENSUS, ORTHOGONAL_COUNTS
 

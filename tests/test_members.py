@@ -11,17 +11,16 @@ from hadclique import (
     ExactSearchConfig,
     FastConfig,
     GaConfig,
-    clique_from_codes,
     clique_to_matrix,
     extend_exact,
-    format_clique_text,
     matrix_to_clique,
     paley_seed,
-    read_clique,
     run_exact,
     verify_clique,
 )
 from hadclique import fast, ga
+from hadclique.files import format_clique_text, read_clique
+from hadclique.graph import clique_from_codes
 
 
 def _made_cliques(tmp_path):

@@ -7,19 +7,16 @@ from hadclique import (
     Clique,
     HadcliqueError,
     adjacency,
-    brute_adjacency_codes,
     class_size,
-    clique_from_codes,
     clique_to_matrix,
     decode,
     degree,
-    enumerate_vertices,
-    random_vertex,
     verify_clique,
     verify_ph,
-    vertex_codes,
     vertex_count,
 )
+from hadclique.graph import clique_from_codes, random_vertex
+from hadclique.oracle import brute_adjacency_codes, enumerate_vertices, vertex_codes
 
 from published import CENSUS, FAST_CLIQUES, GA_CLIQUES, GREEDY_CLIQUES
 
@@ -151,6 +148,10 @@ def test_verify_ph_names_offending_rows():
     rep = verify_ph(M)
     assert not rep
     assert "2" in rep.message
+    # row 3 repeats row 1 of the 4 x 4 Sylvester matrix: the Gram matrix is
+    # off at (1, 3) and (3, 1), and the report names the pair lower row first
+    M = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, 1, -1]])
+    assert verify_ph(M).message == "rows 1 and 3 have inner product 4, expected 0"
 
 
 def test_census_alignment_between_modules():

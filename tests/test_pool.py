@@ -27,15 +27,20 @@ from hadclique import (
     ExactSearchConfig,
     GaConfig,
     adjacency,
-    brute_adjacency_codes,
     extend_exact,
-    random_vertex,
     run_exact,
     run_ga,
-    vertex_codes,
 )
 from hadclique import graph
-from hadclique.graph import MaterializedPool, NeighborPool, pool_bytes, vertex_pool, weight_masks
+from hadclique.graph import (
+    MaterializedPool,
+    NeighborPool,
+    pool_bytes,
+    random_vertex,
+    vertex_pool,
+    weight_masks,
+)
+from hadclique.oracle import brute_adjacency_codes, vertex_codes
 
 FULL_RANKS = 400  # pools up to this size are checked at every rank
 SAMPLED_RANKS = 100
@@ -302,7 +307,7 @@ def test_a_batch_holds_no_bin_array_larger_than_the_halves(t):
 
 
 def test_a_materializing_refine_frees_the_raw_ids_before_it_joins(monkeypatch):
-    # _refine hands its keyed ids to _regroup in a list that _regroup
+    # refine hands its keyed ids to _regroup in a list that _regroup
     # empties, so they die when a compacting pass rebinds them.  With the
     # caller holding them, they lived through the join, and one exact
     # essay's traced peak at t = 9 rose from 28.6 to 32.5 B per half
@@ -464,13 +469,13 @@ def test_open_pools_leave_room_and_keep_the_switch_point(t, monkeypatch):
     # halves do not move the switch to a materialized pool: it comes once
     # the stored codes number no more than the live halves
     refined = []
-    spied = NeighborPool._refine
+    spied = graph._regroup
 
-    def spy(self, codes, bins):
-        refined.append(spied(self, codes, bins))
+    def spy(*args):
+        refined.append(spied(*args))
         return refined[-1]
 
-    monkeypatch.setattr(NeighborPool, "_refine", spy)
+    monkeypatch.setattr(graph, "_regroup", spy)
     run_exact(ExactSearchConfig(t=t, essays=6))
     run_ga(GaConfig(t=t, max_generations=4))
     for pool in refined:

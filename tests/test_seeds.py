@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hadclique import (
     HadcliqueError,
     NoDecomposition,
-    clique_from_codes,
     clique_to_matrix,
     format_sign_matrix,
     ingest_sign_matrix,
@@ -18,6 +17,7 @@ from hadclique import (
     verify_clique,
     verify_ph,
 )
+from hadclique.graph import clique_from_codes
 
 from published import GREEDY_CLIQUES
 
