@@ -4,8 +4,11 @@ Subcommands: stats, search, verify, normalize, paley, extend, bench.
 Exit codes: 0 success, 1 verification failure or a file that cannot be
 read (missing, a directory, or not UTF-8), 2 search produced nothing, 64
 usage error: a setting refused anywhere, by the parser, a subcommand or the
-library, as ValueError. The environment variable HADCLIQUE_SEED, when set,
-overrides --rng-seed everywhere.
+library, as ValueError. The library owns the refusals of a setting: a t
+outside 1..16, a seed clique of another t, a pool too big for the machine.
+The CLI adds only its own: search and stats require --t, paley refuses
+--t < 1, and --seed-file seeds only search fast. The environment variable
+HADCLIQUE_SEED, when set, overrides --rng-seed everywhere.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("search", help="run a clique search and write a report")
     sp.add_argument("algorithm", choices=("exact", "ga", "fast"))
-    sp.add_argument("--t", type=int)
+    sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--essays", type=int, default=10)
     sp.add_argument("--rng-seed", type=int, default=0)
     sp.add_argument("--time-limit", type=float, default=None,
@@ -129,8 +132,7 @@ def _effective_seed(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     t = args.t
-    if not 1 <= t <= graph.MAX_T:
-        raise ValueError(f"stats needs 1 <= t <= {graph.MAX_T}, got {t}")
+    graph._check_t(t)  # the census counts any t >= 1, but stats prints only the searchable ones
     print(f"G_{t}: width 4t = {4 * t}")
     print(f"{'k':>3} {'vertices':>12} {'degree':>14}")
     for k in range(t + 1):
@@ -173,14 +175,10 @@ def _search(
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    if args.t is None:
-        raise ValueError("search needs --t")
     if args.seed_file and args.algorithm != "fast":
         raise ValueError(f"--seed-file seeds only search fast, not {args.algorithm}")
     seed = _effective_seed(args)
-    base = read_clique(args.seed_file) if args.seed_file else Clique(t=args.t, members=())
-    if base.t != args.t:
-        raise ValueError(f"--seed-file holds a G_{base.t} clique but --t is {args.t}")
+    base = read_clique(args.seed_file) if args.seed_file else None
     search = _search(args.algorithm, args.t, args.essays, seed, seed=base,
                      population_size=args.population, max_generations=args.generations,
                      p_m=args.pm, p_b=args.pb)
@@ -252,7 +250,6 @@ def cmd_extend(args: argparse.Namespace) -> int:
     c = read_clique(args.path)
     seed = _effective_seed(args)
     if args.algorithm == "exact":
-        graph.pool_bytes(c.t)
         grown = exact.extend_exact(c, Random(seed))
     else:
         grown = fast.run_fast(c, fast.FastConfig(t=c.t, rng_seed=seed))

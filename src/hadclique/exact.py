@@ -140,17 +140,19 @@ def run_exact(cfg: ExactSearchConfig, jobs: int = 1, time_limit: float | None = 
 def extend_exact(c: Clique, rng: Random) -> Clique:
     """Greedily extend c to a maximal clique containing it.
 
-    The input members are validated first and an invalid clique is
-    rejected; they are kept as given, and the new picks follow them. The
-    pool is vertex_pool(t) refined by them all in one batched call, or an
-    empty c's random start's neighbors. It is held as halves and never
-    materialized; graph.vertex_pool raises ValueError for a t past
-    graph.pool_bytes before it allocates.
+    c's t is checked first: graph.vertex_pool raises ValueError for a t
+    outside 1..MAX_T or past graph.pool_bytes before it allocates. Then the
+    members are validated and an invalid clique is rejected as
+    HadcliqueError; they are kept as given, and the new picks follow them.
+    The pool is vertex_pool(t) refined by them all in one batched call, or
+    an empty c's random start's neighbors. It is held as halves and never
+    materialized.
     """
+    pool = vertex_pool(c.t)
     rep = verify_clique(c)
     if not rep:
         raise HadcliqueError(rep.message)
     if c.members:
-        return _grow(_filter_pool(vertex_pool(c.t), *c.members), c.members, rng)
+        return _grow(_filter_pool(pool, *c.members), c.members, rng)
     start = _random_start(c.t, rng)
     return _grow(adjacency(start), (start.code,), rng)

@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import HadcliqueError
 from .graph import (
-    MAX_T,
     Clique,
+    _check_t,
     coincidence_range,
     join_quarters,
     orthogonal_codes,
@@ -66,8 +66,7 @@ class FastConfig:
         # at t = 16 (_valid_rows) and scores the valid ones (_inner_search),
         # and lets a quarter mask and a row index fit uint16 and a
         # coincidence int8
-        if not 1 <= self.t <= MAX_T:
-            raise ValueError(f"t must be in 1..{MAX_T}, got {self.t}")
+        _check_t(self.t)
 
 
 @lru_cache(maxsize=None)
@@ -263,11 +262,11 @@ def run_fast(seed: Clique, cfg: FastConfig) -> Clique:
     The two candidate classes are tried heaviest first; within a class,
     construction repeats until t consecutive failures, or until the clique
     holds 4t - 3 members, the most any clique of G_t can hold.
-    The seed must be a valid clique of the configured t; otherwise
-    HadcliqueError is raised.
+    A seed of another t raises ValueError, a refused setting, and a seed
+    that fails verification HadcliqueError.
     """
     if seed.t != cfg.t:
-        raise HadcliqueError(f"seed is a G_{seed.t} clique but the search is configured for t={cfg.t}")
+        raise ValueError(f"seed is a G_{seed.t} clique but the search is configured for t={cfg.t}")
     rep = verify_clique(seed)
     if not rep:
         raise HadcliqueError(rep.message)

@@ -136,6 +136,12 @@ class Clique:
 MAX_T = 16
 
 
+def _check_t(t: int) -> None:
+    """ValueError unless 1 <= t <= MAX_T, the one range every uint64 table needs."""
+    if not 1 <= t <= MAX_T:
+        raise ValueError(f"t must be in 1..{MAX_T} (4t <= 64 bits), got {t}")
+
+
 def full_mask(t: int) -> int:
     return (1 << (4 * t)) - 1
 
@@ -198,12 +204,23 @@ def complement(v: VertexCode) -> VertexCode:
 # --- census ----------------------------------------------------------------
 
 
+def _check_census_t(t: int) -> None:
+    """ValueError when t < 1: there is no such G_t to count.
+
+    The census counts in Python ints, so any larger t is exact, past MAX_T too.
+    """
+    if t < 1:
+        raise ValueError(f"t must be positive, got {t}")
+
+
 def class_size(t: int, k: int) -> int:
     """Number of k-vertices: independent quarter choices, C(t,k)^4."""
+    _check_census_t(t)
     return math.comb(t, k) ** 4
 
 
 def vertex_count(t: int) -> int:
+    _check_census_t(t)
     return sum(class_size(t, k) for k in range(t + 1))
 
 
@@ -318,6 +335,7 @@ def count_orthogonal(t: int, k: int, s: int) -> int:
     polynomial, over Python ints (the counts pass 2^53 at t = 16).  Zero
     when 2s+2k-t < 0.
     """
+    _check_census_t(t)
     lo, hi = max(0, s + k - t), min(k, s)
     if hi < lo:
         return 0
@@ -340,6 +358,7 @@ def degree(t: int, k: int) -> int:
 
 
 def edge_count(t: int) -> int:
+    _check_census_t(t)
     return sum(class_size(t, k) * degree(t, k) for k in range(t + 1)) // 2
 
 
@@ -363,11 +382,10 @@ def adjacency(v: VertexCode) -> np.ndarray:
     Generated class by class from the pools; classes with s < t/2 also
     contribute the complements of their vectors.  The pieces are pairwise
     disjoint, so the length equals degree(t, k) with no deduplication.
-    Requires 4t <= 64.
+    Raises ValueError unless 1 <= t <= MAX_T (4t <= 64).
     """
     t = v.t
-    if t > MAX_T:
-        raise ValueError(f"adjacency materialization needs 4t <= 64 bits, got t={t}")
+    _check_t(t)
     base = complement(v) if v.k > t // 2 else v  # same neighbor set
     mask = np.uint64(full_mask(t))
     chunks = []
@@ -640,8 +658,7 @@ def pool_bytes(t: int, jobs: int = 1) -> int:
     Raises ValueError when t is outside 1..MAX_T or the estimate exceeds
     the machine's physical memory, before anything is allocated.
     """
-    if not 1 <= t <= MAX_T:
-        raise ValueError(f"t must be in 1..{MAX_T} (4t <= 64 bits), got {t}")
+    _check_t(t)
     need = BASE_BYTES + 2 * math.comb(2 * t, t) * (SHARED_HALF_BYTES + jobs * ESSAY_HALF_BYTES)
     have = _physical_bytes()
     if need > have:

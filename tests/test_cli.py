@@ -81,7 +81,7 @@ def test_usage_errors_exit_64(capsys):
     _usage_error(["search", "ga", "--t", "17"], capsys)
     _usage_error(["search", "exact", "--t", "3", "--jobs", "0"], capsys)
     _usage_error(["search", "exact", "--t", "3", "--jobs", "-2"], capsys)
-    assert "search needs --t" in _usage_error(["search", "exact"], capsys)
+    assert "the following arguments are required: --t" in _usage_error(["search", "exact"], capsys)
     with open("seed.clq", "w") as fh:
         fh.write("3\n")
     for algorithm in ("exact", "ga"):
@@ -92,7 +92,7 @@ def test_usage_errors_exit_64(capsys):
     with open("big.clq", "w") as fh:
         fh.write("17\n")
     err = _usage_error(["extend", "big.clq", "--algorithm", "fast"], capsys)
-    assert "t must be in 1..16, got 17" in err
+    assert "t must be in 1..16 (4t <= 64 bits), got 17" in err
     err = _usage_error(["extend", "big.clq", "--algorithm", "exact"], capsys)
     assert "t must be in 1..16 (4t <= 64 bits), got 17" in err
 
@@ -289,7 +289,7 @@ def test_seed_file_of_another_t_is_a_usage_error(tmp_path, capsys):
     assert main(["paley", "--t", "4", "--out", str(seed)]) == EX_OK
     out = tmp_path / "fast.report"
     assert main(["search", "fast", "--t", "5", "--seed-file", str(seed), "--out", str(out)]) == EX_USAGE
-    assert "G_4 clique but --t is 5" in capsys.readouterr().err
+    assert "seed is a G_4 clique but the search is configured for t=5" in capsys.readouterr().err
     assert not out.exists()
 
 

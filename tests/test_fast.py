@@ -20,7 +20,6 @@ from hadclique import (
     verify_clique,
 )
 from hadclique.fast import (
-    MAX_T,
     _coincidences,
     _inner_search,
     _target_table,
@@ -32,6 +31,7 @@ from hadclique.fast import (
 )
 from hadclique import fast
 from hadclique.graph import (
+    MAX_T,
     clique_from_codes,
     join_quarters,
     orthogonal_codes,
@@ -240,7 +240,7 @@ def test_buildgrapas_raises_on_a_non_orthogonal_construction(monkeypatch):
 
 
 def test_run_fast_requires_matching_seed():
-    with pytest.raises(HadcliqueError, match="seed is a G_2 clique but the search is configured for t=3"):
+    with pytest.raises(ValueError, match="seed is a G_2 clique but the search is configured for t=3"):
         run_fast(clique_from_codes(2, [166]), FastConfig(t=3))
     with pytest.raises(HadcliqueError, match=r"members 0 and 1 \(codes 166, 89\) are not orthogonal"):
         run_fast(clique_from_codes(2, [166, 89]), FastConfig(t=2))

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -168,3 +169,27 @@ def test_readme_shows_the_package_root_and_nothing_stale():
     public = {name for name, value in vars(hadclique).items()
               if not name.startswith("_") and not isinstance(value, ModuleType)}
     assert public - shown == set()
+
+
+def test_readme_library_block_runs_as_written():
+    # each statement runs in order; a line commented "# True" must be true,
+    # and one commented with a number must equal it (the census values)
+    (block,) = re.findall(r"## Library\n\n```python\n(.*?)```", README.read_text("utf-8"), re.S)
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked, counts = 0, []
+    for stmt in ast.parse(block).body:
+        comment = lines[stmt.lineno - 1].partition("#")[2].strip()
+        number = re.match(r"\d+\b", comment)
+        if isinstance(stmt, ast.Expr) and (comment.startswith("True") or number):
+            got = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            if number:
+                counts.append(int(number.group()))
+                assert got == counts[-1], lines[stmt.lineno - 1]
+            else:
+                assert got is True, lines[stmt.lineno - 1]
+                checked += 1
+        else:
+            exec(compile(ast.Module([stmt], type_ignores=[]), "README.md", "exec"), namespace)
+    assert counts == [263844, 160000, 79712, 587088, 960098756]
+    assert checked == 5

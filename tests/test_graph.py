@@ -1,4 +1,5 @@
 import math
+from functools import partial
 from itertools import product
 from random import Random
 
@@ -7,6 +8,10 @@ import pytest
 from hypothesis import given, settings
 
 from hadclique import (
+    Clique,
+    ExactSearchConfig,
+    FastConfig,
+    GaConfig,
     HadcliqueError,
     VertexCode,
     adjacency,
@@ -17,11 +22,14 @@ from hadclique import (
     degree,
     distinct_orderings,
     edge_count,
+    extend_exact,
     generator_set,
+    paley_seed,
+    run_fast,
     solve_distributions,
     vertex_count,
 )
-from hadclique import graph
+from hadclique import fast, graph
 from hadclique.graph import (
     clique_from_codes,
     complement,
@@ -117,6 +125,14 @@ def test_class_sizes_and_totals():
         for k, want in enumerate(per_k):
             assert class_size(t, k) == want
         assert vertex_count(t) == total
+    # there is no G_0, so no census of one; the counts stay exact past MAX_T
+    for count in (lambda: class_size(0, 0), lambda: vertex_count(0), lambda: degree(0, 0),
+                  lambda: edge_count(0), lambda: count_orthogonal(0, 0, 0),
+                  lambda: vertex_count(-1), lambda: edge_count(-1)):
+        with pytest.raises(ValueError, match=r"t must be positive, got -?[01]"):
+            count()
+    assert vertex_count(17) == sum(math.comb(17, k) ** 4 for k in range(18))
+    assert degree(17, 8) == degree(17, 9) > 2**53
 
 
 def test_class_size_is_binomial_fourth_power():
@@ -348,8 +364,47 @@ def test_adjacency_sizes_match_degree(monkeypatch):
     # a code past 64 bits is refused before the mask or any pool is built
     monkeypatch.setattr(graph, "full_mask", None)
     v = VertexCode(t=17, code=((1 << 34) - 1) << 17, k=0)
-    with pytest.raises(ValueError, match="adjacency materialization needs 4t <= 64"):
+    with pytest.raises(ValueError, match=r"t must be in 1\.\.16 \(4t <= 64 bits\), got 17"):
         adjacency(v)
+
+
+_ONE_T_MESSAGE = "t must be in 1..{} (4t <= 64 bits), got {}"
+_SEED_OF_T4 = "seed is a G_4 clique but the search is configured for t=5"
+
+
+@pytest.mark.parametrize(
+    ("refused", "message"),
+    [
+        *(
+            pytest.param(call, _ONE_T_MESSAGE.format(graph.MAX_T, t), id=f"{name}-t{t}")
+            for t in (0, graph.MAX_T + 1)
+            for name, call in [
+                ("ExactSearchConfig", partial(ExactSearchConfig, t=t)),
+                ("GaConfig", partial(GaConfig, t=t)),
+                ("FastConfig", partial(FastConfig, t=t)),
+                ("pool_bytes", partial(graph.pool_bytes, t)),
+                ("vertex_pool", partial(vertex_pool, t)),
+                ("extend_exact", partial(extend_exact, Clique(t=t, members=()), Random(0))),
+                ("adjacency", partial(adjacency, VertexCode(t=t, code=0, k=0))),
+            ]
+        ),
+        pytest.param(lambda: run_fast(paley_seed(4), FastConfig(t=5)), _SEED_OF_T4, id="run_fast"),
+        *(
+            pytest.param(
+                lambda jobs=jobs: fast.run_many(paley_seed(4), FastConfig(t=5), essays=2, jobs=jobs),
+                _SEED_OF_T4,
+                id=f"run_many-jobs{jobs}",
+            )
+            for jobs in (1, 2)
+        ),
+    ],
+)
+def test_every_refused_t_and_seed_is_one_value_error(refused, message):
+    # the library owns these refusals, so a caller gets the type the CLI maps
+    # to 64, and each rule one message wherever it is checked
+    with pytest.raises(ValueError) as info:
+        refused()
+    assert str(info.value) == message
 
 
 def test_clique_from_codes_orders_and_types():
