@@ -7,7 +7,10 @@ usage error: a setting refused anywhere, by the parser, a subcommand or the
 library, as ValueError. The library owns the refusals of a setting: a t
 outside 1..16, a seed clique of another t, a pool too big for the machine.
 The CLI adds only its own: search and stats require --t, paley refuses
---t < 1, and --seed-file seeds only search fast. The environment variable
+--t < 1, --seed-file seeds only search fast, and the GA flags (--population,
+--generations, --pm, --pb) set only search ga; one left out takes
+GaConfig's default. A clique or matrix that fails the oracle's check is
+refused with the oracle's message, and exits 1. The environment variable
 HADCLIQUE_SEED, when set, overrides --rng-seed everywhere.
 """
 
@@ -83,10 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rng-seed", type=int, default=0)
     sp.add_argument("--time-limit", type=float, default=None,
                     help="seconds; no essay past the first --jobs starts after it")
-    sp.add_argument("--population", type=int, default=5, help="ga population size")
-    sp.add_argument("--generations", type=int, default=20, help="ga generations")
-    sp.add_argument("--pm", type=float, default=0.1, help="ga mutation probability")
-    sp.add_argument("--pb", type=float, default=0.8, help="ga tournament bias")
+    # the GA flags are GaConfig fields; one left out takes GaConfig's default
+    sp.add_argument("--population", dest="population_size", type=int, help="ga population size")
+    sp.add_argument("--generations", dest="max_generations", type=int, help="ga generations")
+    sp.add_argument("--pm", dest="p_m", type=float, help="ga mutation probability")
+    sp.add_argument("--pb", dest="p_b", type=float, help="ga tournament bias")
     sp.add_argument("--seed-file", type=Path, default=None,
                     help="clique file used as the fast search's seed")
     sp.add_argument("--jobs", type=int, default=1)
@@ -177,11 +181,14 @@ def _search(
 def cmd_search(args: argparse.Namespace) -> int:
     if args.seed_file and args.algorithm != "fast":
         raise ValueError(f"--seed-file seeds only search fast, not {args.algorithm}")
+    ga_knobs = {f: v for f in ("population_size", "max_generations", "p_m", "p_b")
+                if (v := getattr(args, f)) is not None}
+    if ga_knobs and args.algorithm != "ga":
+        raise ValueError(f"--population, --generations, --pm and --pb set only search ga, "
+                         f"not {args.algorithm}")
     seed = _effective_seed(args)
     base = read_clique(args.seed_file) if args.seed_file else None
-    search = _search(args.algorithm, args.t, args.essays, seed, seed=base,
-                     population_size=args.population, max_generations=args.generations,
-                     p_m=args.pm, p_b=args.pb)
+    search = _search(args.algorithm, args.t, args.essays, seed, seed=base, **ga_knobs)
     rep = search(jobs=args.jobs, time_limit=args.time_limit)
     _human_report(rep)
     out = args.out or Path(f"hadclique-{args.algorithm}-t{args.t}-seed{seed}.report")

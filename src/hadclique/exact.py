@@ -149,9 +149,7 @@ def extend_exact(c: Clique, rng: Random) -> Clique:
     materialized.
     """
     pool = vertex_pool(c.t)
-    rep = verify_clique(c)
-    if not rep:
-        raise HadcliqueError(rep.message)
+    verify_clique(c).check()
     if c.members:
         return _grow(_filter_pool(pool, *c.members), c.members, rng)
     start = _random_start(c.t, rng)

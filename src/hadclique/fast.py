@@ -267,9 +267,7 @@ def run_fast(seed: Clique, cfg: FastConfig) -> Clique:
     """
     if seed.t != cfg.t:
         raise ValueError(f"seed is a G_{seed.t} clique but the search is configured for t={cfg.t}")
-    rep = verify_clique(seed)
-    if not rep:
-        raise HadcliqueError(rep.message)
+    verify_clique(seed).check()
     rng = Random(cfg.rng_seed)
     t = cfg.t
     members = list(seed.members)

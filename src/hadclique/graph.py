@@ -204,23 +204,28 @@ def complement(v: VertexCode) -> VertexCode:
 # --- census ----------------------------------------------------------------
 
 
-def _check_census_t(t: int) -> None:
-    """ValueError when t < 1: there is no such G_t to count.
+def _check_census(t: int, **classes: int) -> None:
+    """ValueError when t < 1, or when a class argument is outside 0..t.
 
-    The census counts in Python ints, so any larger t is exact, past MAX_T too.
+    There is no G_t to count below t = 1, and a k-vertex or an s-vector
+    needs 0 <= k, s <= t. The census counts in Python ints, so any larger t
+    is exact, past MAX_T too.
     """
     if t < 1:
         raise ValueError(f"t must be positive, got {t}")
+    for name, c in classes.items():
+        if not 0 <= c <= t:
+            raise ValueError(f"{name}={c} outside [0, {t}]")
 
 
 def class_size(t: int, k: int) -> int:
     """Number of k-vertices: independent quarter choices, C(t,k)^4."""
-    _check_census_t(t)
+    _check_census(t, k=k)
     return math.comb(t, k) ** 4
 
 
 def vertex_count(t: int) -> int:
-    _check_census_t(t)
+    _check_census(t)
     return sum(class_size(t, k) for k in range(t + 1))
 
 
@@ -244,6 +249,10 @@ def coincidence_range(t: int, a: int, b: int) -> range:
     steps by 2. With a = k and b = s it is the per-quarter ladder between a
     k-vertex and an s-vector: quarters weigh (k, t-k, t-k, k) against
     (s, t-s, t-s, s), and all four quarters admit the same ladder.
+
+    Unchecked, since the constructive search calls it for every member on
+    every construction: it is arithmetic on t-bit words, and its t = 0
+    answer, range(0, 1, 2), is right for 0-bit words.
     """
     lo = t - min(a + b, 2 * t - a - b)
     hi = t - abs(a - b)
@@ -262,6 +271,7 @@ def solve_distributions(t: int, k: int, s: int) -> tuple[tuple[int, int, int, in
     not the published bound alpha_1, which misses (2, 2, 2, 4) at t = 5,
     k = 2, s = 1.
     """
+    _check_census(t, k=k, s=s)
     ladder = coincidence_range(t, k, s)
     return tuple(
         (a, b, c, d)
@@ -327,15 +337,16 @@ def generator_set(
 
 
 def count_orthogonal(t: int, k: int, s: int) -> int:
-    """Number of s-vectors orthogonal to a fixed k-vertex (k, s <= t//2).
+    """Number of s-vectors orthogonal to a fixed k-vertex, for any k, s in 0..t.
 
     Sums the product of per-quarter binomials C(k, i_q) * C(t-k, s-i_q)
     over ordered (i_1, .., i_4) with sum 2s+2k-t; computed as one
     coefficient of the fourth power of the single-quarter generating
     polynomial, over Python ints (the counts pass 2^53 at t = 16).  Zero
-    when 2s+2k-t < 0.
+    when 2s+2k-t < 0.  Quarters 2 and 3 count shared zeros, of which a
+    k-vertex has k and an s-vector s there, so one formula serves all four.
     """
-    _check_census_t(t)
+    _check_census(t, k=k, s=s)
     lo, hi = max(0, s + k - t), min(k, s)
     if hi < lo:
         return 0
@@ -346,19 +357,17 @@ def count_orthogonal(t: int, k: int, s: int) -> int:
 
 
 def degree(t: int, k: int) -> int:
-    """Total neighbors of a k-vertex over the full vertex set.
+    """Total neighbors of a k-vertex over the full vertex set, k in 0..t.
 
-    Complementation gives N(k, s) = N(k, t-s) and degree(k) = degree(t-k),
-    so every class is counted as its image with k, s <= t//2.
+    Sums count_orthogonal over every class s in 0..t. t and k are checked
+    here too, since for t < 0 there is no s to check them.
     """
-    if not 0 <= k <= t:
-        raise ValueError(f"k={k} outside [0, {t}]")
-    kp = min(k, t - k)
-    return sum(count_orthogonal(t, kp, min(s, t - s)) for s in range(t + 1))
+    _check_census(t, k=k)
+    return sum(count_orthogonal(t, k, s) for s in range(t + 1))
 
 
 def edge_count(t: int) -> int:
-    _check_census_t(t)
+    _check_census(t)
     return sum(class_size(t, k) * degree(t, k) for k in range(t + 1)) // 2
 
 

@@ -7,6 +7,11 @@ A sign matrix is a plain 2-D int64 numpy array of +1/-1 entries, one row
 per array row; clique_to_matrix returns one and verify_ph takes one.
 None of the counting or generator machinery of :mod:`hadclique.graph` is
 used, so the two sides can validate each other.
+
+verify_clique and verify_ph are the package's only clique and partial
+Hadamard tests: a caller that refuses a bad clique or matrix
+(extend_exact, run_fast, clique_to_matrix, normalize) calls Report.check,
+which raises HadcliqueError with the verdict's message.
 """
 
 from __future__ import annotations
@@ -36,13 +41,22 @@ _SCAN_CHUNK = 1 << 20
 
 @dataclass(frozen=True, slots=True)
 class Report:
-    """Pass/fail verdict with a human-readable reason."""
+    """Pass/fail verdict with a human-readable reason.
+
+    A caller that refuses a bad clique or matrix calls check(), so every
+    refusal carries the oracle's own message.
+    """
 
     ok: bool
     message: str
 
     def __bool__(self) -> bool:
         return self.ok
+
+    def check(self) -> None:
+        """Raise HadcliqueError(message) when the verdict failed."""
+        if not self.ok:
+            raise HadcliqueError(self.message)
 
 
 @lru_cache(maxsize=8)
@@ -127,11 +141,10 @@ def clique_to_matrix(c: Clique) -> np.ndarray:
 
     A clique of size m yields an (m+3) x 4t int64 array, a partial Hadamard
     matrix; the members' bit 1 maps to -1 with position 1 as the most
-    significant bit.
+    significant bit. A clique that fails verify_clique raises
+    HadcliqueError with its verdict's message.
     """
-    rep = verify_clique(c)
-    if not rep:
-        raise HadcliqueError(rep.message)
+    verify_clique(c).check()
     t = c.t
     n = 4 * t
     rows = [_canonical_rows(t)]

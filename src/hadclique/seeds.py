@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import HadcliqueError, NoDecomposition
 from .graph import Clique, decode
-from .oracle import _canonical_rows
+from .oracle import _canonical_rows, verify_ph
 
 __all__ = [
     "normalize",
@@ -37,47 +37,35 @@ def normalize(M: np.ndarray) -> np.ndarray:
     matrix_to_clique decodes. The work is done on a copy, so the caller's
     array is never written.
 
+    M needs at least 3 rows and 4t columns, and must pass the oracle's
+    verify_ph; either failure raises HadcliqueError, the latter with the
+    oracle's own message.
+
     Step 1 negates every column whose first entry is negative; step 2 swaps
     left-half columns with a negative second entry against right-half
     columns with a positive one; step 3 does the same per half for the
     third row. Each step preserves all row inner products, so the
     orthogonality structure is untouched.
 
-    The Gram test, which refuses any two rows that are not orthogonal, is
-    the only balance check the swaps need. After step 1 row 0 is all +1, so
-    row 1 sums to 0 and has as many -1s in the left half as +1s in the
-    right half. Row 2 is orthogonal to rows 0 and 1, so each half of it sums
-    to 0, and the same holds within each half.
+    The oracle's Gram test, which refuses any two rows that are not
+    orthogonal, is the only balance check the swaps need. After step 1 row
+    0 is all +1, so row 1 sums to 0 and has as many -1s in the left half as
+    +1s in the right half. Row 2 is orthogonal to rows 0 and 1, so each half
+    of it sums to 0, and the same holds within each half.
     """
     arr = np.array(M, dtype=np.int64)
     m, n = arr.shape
     if m < 3 or n < 4 or n % 4:
         raise HadcliqueError(f"need >= 3 rows and 4t columns, got {m} x {n}")
-    if not np.isin(arr, (-1, 1)).all():
-        raise HadcliqueError("entries must be +1 or -1")
-    gram = arr @ arr.T
-    if (gram - np.diag(np.diag(gram))).any():
-        i, j = np.argwhere(gram - np.diag(np.diag(gram)))[0]
-        raise HadcliqueError(f"rows {i} and {j} have inner product {gram[i, j]}")
+    verify_ph(arr).check()
     t = n // 4
 
     arr[:, arr[0] < 0] *= -1
-
-    def swap(cols_lo: np.ndarray, cols_hi: np.ndarray) -> None:
-        # counts match because the row sums to zero over the span
-        for a, b in zip(cols_lo, cols_hi):
-            arr[:, [a, b]] = arr[:, [b, a]]
-
-    half = 2 * t
-    lo = np.nonzero(arr[1, :half] < 0)[0]
-    hi = half + np.nonzero(arr[1, half:] > 0)[0]
-    swap(lo, hi)
-
-    for base in (0, half):
-        lo = base + np.nonzero(arr[2, base:base + t] < 0)[0]
-        hi = base + t + np.nonzero(arr[2, base + t:base + 2 * t] > 0)[0]
-        swap(lo, hi)
-
+    # each span's misplaced columns pair off one to one, so one permutation swaps them all
+    for row, base, width in ((1, 0, 2 * t), (2, 0, t), (2, 2 * t, t)):
+        lo = base + np.flatnonzero(arr[row, base:base + width] < 0)
+        hi = base + width + np.flatnonzero(arr[row, base + width:base + 2 * width] > 0)
+        arr[:, np.r_[lo, hi]] = arr[:, np.r_[hi, lo]]
     return arr
 
 

@@ -97,6 +97,15 @@ def test_usage_errors_exit_64(capsys):
     assert "t must be in 1..16 (4t <= 64 bits), got 17" in err
 
 
+@pytest.mark.parametrize("algorithm", ["exact", "fast"])
+@pytest.mark.parametrize("flag", ["--population=9", "--generations=3", "--pm=0.5", "--pb=0.5"])
+def test_ga_flags_are_refused_outside_search_ga(algorithm, flag, capsys):
+    out = f"{algorithm}.report"
+    err = _usage_error(["search", algorithm, "--t", "3", flag, "--out", out], capsys)
+    assert f"--population, --generations, --pm and --pb set only search ga, not {algorithm}" in err
+    assert not os.path.exists(out)
+
+
 def test_a_library_value_error_is_a_usage_error(monkeypatch, capsys):
     # one handler in main maps a ValueError to 64, whichever subcommand raised it
     def refuse(t):
@@ -163,7 +172,8 @@ def test_bad_code_in_a_clique_file_is_not_a_usage_error(capsys):
         (["normalize", "in.txt", "--out", "out.txt"], "++++\n++\n", "line 2 has 2 entries, expected 4"),
         (["normalize", "in.txt", "--out", "out.txt"], "++++\n++x-\n", "line 2, column 3: unexpected 'x'"),
         (["normalize", "in.txt", "--out", "out.txt"], "++++\n++--\n", "need >= 3 rows and 4t columns, got 2 x 4"),
-        (["normalize", "in.txt", "--out", "out.txt"], "++++\n+++-\n+-+-\n", "rows 0 and 1 have inner product 2"),
+        (["normalize", "in.txt", "--out", "out.txt"], "++++\n+++-\n+-+-\n",
+         "rows 0 and 1 have inner product 2, expected 0"),
         (["verify", "in.txt"], "1\n3\n", "quarter one-bit counts (0,0,1,1) are not (k,t-k,t-k,k)"),
         (["verify", "in.txt"], "2\n7\n", "code 7 has 3 one-bits, expected 4"),
         (["extend", "in.txt", "--out", "out.txt"], "2\n166 89\n",

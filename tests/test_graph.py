@@ -4,6 +4,7 @@ from itertools import product
 from random import Random
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -29,7 +30,7 @@ from hadclique import (
     solve_distributions,
     vertex_count,
 )
-from hadclique import fast, graph
+from hadclique import fast, graph, oracle
 from hadclique.graph import (
     clique_from_codes,
     complement,
@@ -167,6 +168,31 @@ def test_degree_symmetric_in_k():
             assert degree(t, k) == degree(t, t - k)
     with pytest.raises(ValueError, match=r"k=5 outside \[0, 4\]"):
         degree(4, 5)
+
+
+@pytest.mark.parametrize("count, args, message", [
+    (class_size, (3, 5), "k=5 outside [0, 3]"),
+    (class_size, (3, -1), "k=-1 outside [0, 3]"),
+    (count_orthogonal, (4, 5, 0), "k=5 outside [0, 4]"),
+    (count_orthogonal, (4, 0, 5), "s=5 outside [0, 4]"),
+    (degree, (3, 5), "k=5 outside [0, 3]"),
+    (degree, (-1, 0), "t must be positive, got -1"),
+    (solve_distributions, (0, 0, 0), "t must be positive, got 0"),
+])
+def test_census_refuses_every_class_outside_0_to_t(count, args, message):
+    with pytest.raises(ValueError) as exc:
+        count(*args)
+    assert str(exc.value) == message
+
+
+def test_count_orthogonal_matches_brute_force_for_every_class():
+    # every k and s in 0..t, past the k, s <= t//2 the adjacency generator uses
+    for t in range(2, 5):
+        for v in {v.k: v for v in oracle.enumerate_vertices(t)}.values():
+            classes = oracle.brute_adjacency_codes(v) >> np.uint64(3 * t)
+            for s in range(t + 1):
+                want = int((np.bitwise_count(classes) == s).sum())
+                assert count_orthogonal(t, v.k, s) == want, (t, v.k, s)
 
 
 # -- per-s adjacency counts --------------------------------------------------

@@ -16,7 +16,7 @@ from hadclique import (
     vertex_count,
 )
 from hadclique.graph import clique_from_codes, random_vertex
-from hadclique.oracle import brute_adjacency_codes, enumerate_vertices, vertex_codes
+from hadclique.oracle import Report, brute_adjacency_codes, enumerate_vertices, vertex_codes
 
 from published import CENSUS, FAST_CLIQUES, GA_CLIQUES, GREEDY_CLIQUES
 
@@ -157,3 +157,11 @@ def test_verify_ph_names_offending_rows():
 def test_census_alignment_between_modules():
     for t in range(1, 7):
         assert vertex_count(t) == sum(class_size(t, k) for k in range(t + 1))
+
+
+def test_report_check_raises_only_a_failed_verdict():
+    with pytest.raises(HadcliqueError) as exc:
+        Report(False, "members 0 and 1 are duplicates (code 5)").check()
+    assert str(exc.value) == "members 0 and 1 are duplicates (code 5)"
+    assert Report(True, "clique of size 0 in G_2 verified").check() is None
+    assert verify_clique(clique_from_codes(2, GREEDY_CLIQUES[2])).check() is None

@@ -77,6 +77,17 @@ def test_normalize_rejects_non_ph():
         normalize(bad)
 
 
+@pytest.mark.parametrize("rows", [
+    [[1, 1, 1, 1], [1, 1, 1, -1], [1, -1, 1, -1]],  # rows 0 and 1 not orthogonal
+    [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1], [1, 1, 1, 1]],  # deeper than wide
+])
+def test_normalize_refuses_with_the_oracles_verdict(rows):
+    M = np.array(rows)
+    with pytest.raises(HadcliqueError) as exc:
+        normalize(M)
+    assert str(exc.value) == verify_ph(M).message
+
+
 def test_normalize_rejects_bad_entries_and_shape():
     with pytest.raises(HadcliqueError, match="need >= 3 rows and 4t columns, got 1 x 4"):
         normalize(np.array([[1, 0, 1, 1]]))
